@@ -7,9 +7,9 @@
 //!    states as a single `N × 8` matrix–matrix forward pass
 //!    (`Ddpg::act_batch`) beats N single-state passes. Asserted
 //!    strictly for `N ≥ 8` (best-of-k timing on both sides).
-//! 2. **Fleet wall-clock** — the serial lockstep driver scales with
-//!    node count roughly linearly in simulated work, and the
-//!    parallel driver (`run_fleet_threaded`) buys node scaling that is
+//! 2. **Fleet wall-clock** — the lockstep driver (`run_fleet_threaded`)
+//!    on one thread scales with node count roughly linearly in
+//!    simulated work, and on every core it buys node scaling that is
 //!    *sublinear* in wall-clock on a multi-core host while staying
 //!    byte-identical (asserted every run, every node count).
 //! 3. **End-to-end batched ≤ reference** — the batched lockstep fleet
@@ -31,8 +31,8 @@
 //! `DEEPPOWER_SMOKE=1` shrinks reps and durations for CI.
 
 use deeppower_fleet::{
-    run_fleet, run_fleet_reference, run_fleet_threaded, untrained_policy, BalancerPolicy,
-    FleetSpec, NodeProfile,
+    run_fleet_reference, run_fleet_threaded, untrained_policy, BalancerPolicy, FleetSpec,
+    NodeProfile,
 };
 use deeppower_nn::Matrix;
 use deeppower_workload::App;
@@ -142,7 +142,7 @@ fn main() {
         let mut epochs = 0u64;
         for round in 0..scale_rounds {
             let t = Instant::now();
-            let res = run_fleet(&spec, &policy);
+            let res = run_fleet_threaded(&spec, &policy, 1);
             wall = wall.min(t.elapsed().as_secs_f64());
             let t = Instant::now();
             let par = run_fleet_threaded(&spec, &policy, 0);
@@ -202,7 +202,7 @@ fn main() {
     let mut checked = false;
     for _ in 0..rounds {
         let t = Instant::now();
-        let batched = run_fleet(&spec, &policy);
+        let batched = run_fleet_threaded(&spec, &policy, 1);
         wall_batched = wall_batched.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         let reference = run_fleet_reference(&spec, &policy);
@@ -238,17 +238,19 @@ fn main() {
     // ~0.96 — saturated but not in the everything-times-out regime
     // where all balancers look alike.
     let hetero = |balancer| {
-        FleetSpec::uniform(App::Masstree, 0, balancer, 7, 0.12, duration_s).with_profiles(vec![
-            NodeProfile {
-                name: "edge-1c".into(),
-                max_mhz: 1500,
-                ..NodeProfile::paper_default(1, 4)
-            },
-            NodeProfile {
-                name: "quad".into(),
-                ..NodeProfile::paper_default(4, 2)
-            },
-        ])
+        FleetSpec::uniform(App::Masstree, 0, balancer, 7, 0.12, duration_s)
+            .with_profiles(vec![
+                NodeProfile {
+                    name: "edge-1c".into(),
+                    max_mhz: 1500,
+                    ..NodeProfile::paper_default(1, 4)
+                },
+                NodeProfile {
+                    name: "quad".into(),
+                    ..NodeProfile::paper_default(4, 2)
+                },
+            ])
+            .expect("valid hetero profiles")
     };
 
     // 4a. grouped coordinator pass vs per-node inference, alternating
@@ -260,7 +262,7 @@ fn main() {
     let mut checked = false;
     for _ in 0..rounds {
         let t = Instant::now();
-        let grouped = run_fleet(&spec_pa, &policy);
+        let grouped = run_fleet_threaded(&spec_pa, &policy, 1);
         wall_grouped = wall_grouped.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         let pernode = run_fleet_reference(&spec_pa, &policy);
@@ -281,8 +283,8 @@ fn main() {
     );
 
     // 4b. hardware-aware balancing must pay off on the mixed fleet.
-    let pa = run_fleet(&spec_pa, &policy);
-    let rr = run_fleet(&hetero(BalancerPolicy::RoundRobin), &policy);
+    let pa = run_fleet_threaded(&spec_pa, &policy, 1);
+    let rr = run_fleet_threaded(&hetero(BalancerPolicy::RoundRobin), &policy, 1);
     assert!(
         pa.fleet_p99_ms <= rr.fleet_p99_ms,
         "PowerAware did not beat round-robin on the mixed fleet: p99 {:.2} ms vs {:.2} ms",

@@ -28,7 +28,9 @@ use deeppower_core::{
     evaluate_recorded, explain_decisions, mean_abs_saliency, surface_to_csv, train, train_profiled,
     TrainConfig, TrainedPolicy, STATE_DIM_NAMES,
 };
-use deeppower_fleet::{run_fleet_monitored_full, run_fleet_recorded, BalancerPolicy, FleetSpec};
+use deeppower_fleet::{
+    run_fleet_monitored_full, run_fleet_with, BalancerPolicy, FleetObs, FleetSpec, NodeSinks,
+};
 use deeppower_harness::{
     calibrated_train_seed, fault_scenarios, fleet_grid, grid, overload_scenarios,
     robustness_matrix_for, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios,
@@ -690,7 +692,7 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
             job.fleet.rtrace = TracePlan::sampled(trace_sample, trace_exemplars, seed);
         }
         if let Some(ps) = &profiles {
-            job.fleet = job.fleet.clone().with_profiles(ps.clone());
+            job.fleet = job.fleet.clone().with_profiles(ps.clone())?;
         }
     }
     if let Some(ps) = &profiles {
@@ -741,7 +743,12 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
                     let recs: Vec<Recorder> = (0..job.fleet.nodes)
                         .map(|_| Recorder::ring(1 << 16))
                         .collect();
-                    let res = run_fleet_recorded(&job.fleet, &job.policy, &recs);
+                    let policies = vec![&job.policy; job.fleet.groups().len()];
+                    let obs = FleetObs {
+                        sinks: NodeSinks::Recorders(&recs),
+                        ..FleetObs::off()
+                    };
+                    let (res, _) = run_fleet_with(&job.fleet, &policies, 1, obs);
                     for (i, rec) in recs.iter().enumerate() {
                         let path = Path::new(dir).join(format!(
                             "fleet-{j:02}-{}-{}nodes-node{i:02}.jsonl",
@@ -1163,7 +1170,11 @@ fn cmd_rtrace(flags: &Flags, log: &Logger) -> Result<(), String> {
     // ring only retains trailing windows), so `-o` gets every sampled
     // trace; the monitor then replays the same streams offline.
     let recs: Vec<Recorder> = (0..spec.nodes).map(|_| Recorder::ring(1 << 18)).collect();
-    let res = run_fleet_recorded(&spec, &policy, &recs);
+    let obs = FleetObs {
+        sinks: NodeSinks::Recorders(&recs),
+        ..FleetObs::off()
+    };
+    let (res, _) = run_fleet_with(&spec, &[&policy], 1, obs);
     let streams: Vec<Vec<Event>> = recs.iter().map(|r| r.drain_events()).collect();
     // Overload runs are short, so the default SLO uses single-window
     // burn rules (plus a goodput floor) — a collapse inside the run

@@ -16,27 +16,28 @@
 //! `batched_and_unbatched_fleets_agree` — while doing `1/N` of the
 //! forward passes (the `fleet_scaling` bench measures the speedup).
 //!
-//! [`run_fleet_threaded`] runs the same lockstep drive with node
-//! sessions partitioned across persistent worker threads and a barrier
-//! at every epoch; it is byte-identical to the serial driver at any
-//! thread count (see its docs for the protocol).
+//! One lockstep loop serves every thread count and every observer: node
+//! sessions are partitioned across persistent workers (the calling
+//! thread is the first) with a barrier at every epoch, and the result
+//! is byte-identical at any thread count. [`run_fleet_with`] is the
+//! general entry point and documents the protocol;
+//! [`run_fleet_threaded`], [`run_fleet_monitored_full`] and
+//! [`run_fleet_reference`] are its common shapes.
 
 use crate::balancer::{split_arrivals, BalancerPolicy, NodeCapacity};
 use crate::coordinator::Coordinator;
 use crate::profile::{node_profile_indices, profile_groups, NodeProfile};
 use deeppower_core::{
-    ControllerParams, StateNorm, StateObserver, ThreadController, TrainConfig, TrainedPolicy,
-    STATE_DIM,
+    ControllerParams, StateObserver, ThreadController, TrainConfig, TrainedPolicy, STATE_DIM,
 };
 use deeppower_drl::Ddpg;
 use deeppower_nn::Matrix;
 use deeppower_simd_server::{
     FaultPlan, FreqCommands, Governor, LatencyStats, OverloadPlan, Request, RequestRecord,
-    RunOptions, Server, ServerConfig, ServerView, Session, MILLISECOND,
+    RunOptions, Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
 };
 use deeppower_telemetry::{
-    merge_gauges, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler, Recorder,
-    TracePlan,
+    merge_gauges, FleetMonitor, MonitorConfig, MonitorSink, Profiler, Recorder, Span, TracePlan,
 };
 use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
@@ -47,7 +48,7 @@ use std::sync::{Barrier, Mutex, OnceLock};
 
 /// One fleet experiment: N nodes serving a shared diurnal trace behind
 /// a balancer, under one trained policy (or one per profile group; see
-/// [`run_fleet_hier`]).
+/// [`run_fleet_with`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FleetSpec {
     pub app: App,
@@ -113,18 +114,18 @@ impl FleetSpec {
     }
 
     /// Attach hardware profiles, recomputing `nodes` from the profile
-    /// counts. Panics on an invalid profile — callers deserializing
-    /// untrusted files validate via `profiles_from_json` first.
-    pub fn with_profiles(mut self, profiles: Vec<NodeProfile>) -> Self {
-        assert!(!profiles.is_empty(), "profile list cannot be empty");
+    /// counts. An empty list or an invalid profile is an error.
+    pub fn with_profiles(mut self, profiles: Vec<NodeProfile>) -> Result<Self, String> {
+        if profiles.is_empty() {
+            return Err("profile list cannot be empty".into());
+        }
         for p in &profiles {
-            if let Err(e) = p.validate() {
-                panic!("invalid fleet profile: {e}");
-            }
+            p.validate()
+                .map_err(|e| format!("invalid fleet profile: {e}"))?;
         }
         self.nodes = profiles.iter().map(|p| p.count).sum();
         self.profiles = profiles;
-        self
+        Ok(self)
     }
 
     fn assert_consistent(&self) {
@@ -301,8 +302,8 @@ pub fn untrained_policy(app: App, seed: u64) -> TrainedPolicy {
 /// Node-side governor: Algorithm 1 whose parameters live in a shared
 /// cell the fleet driver rewrites at every epoch boundary. The session
 /// holds the governor `&mut`, so the driver reaches past that borrow
-/// through `Rc<Cell<…>>` (fleet runs are single-threaded; the
-/// cross-thread story is one fleet per harness worker).
+/// through `Rc<Cell<…>>`; cell, governor and session all live on the
+/// one worker thread that owns the node.
 struct SharedParamsController {
     params: Rc<Cell<ControllerParams>>,
 }
@@ -317,56 +318,127 @@ impl Governor for SharedParamsController {
     }
 }
 
-/// Run a fleet with batched actor inference and no telemetry.
-pub fn run_fleet(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
-    let recs = vec![Recorder::disabled(); spec.nodes];
-    run_fleet_recorded(spec, policy, &recs)
+/// Where each node's engine telemetry goes.
+pub enum NodeSinks<'a> {
+    /// Nowhere.
+    Off,
+    /// Node `i`'s events (dispatches, completions, frequency
+    /// transitions, latency snapshots) land in `recs[i]`, so per-node
+    /// JSONL artifacts fall out the same way single-server ones do.
+    /// Recorders are single-threaded handles: the fleet must resolve to
+    /// one thread.
+    Recorders(&'a [Recorder]),
+    /// Every node's stream — window rollups, injected faults, governor
+    /// steps — feeds a [`FleetMonitor`] inline through a
+    /// [`MonitorSink`]. Each worker keeps its own monitor over the
+    /// nodes it owns and the driver merges them; monitor state is keyed
+    /// `(window, node)`, so the merge is exact at any thread count.
+    Monitor(MonitorConfig),
 }
 
-/// [`run_fleet`] with one telemetry [`Recorder`] per node: node `i`'s
-/// engine events (dispatches, completions, frequency transitions,
-/// latency snapshots) land in `recs[i]`, so per-node JSONL artifacts
-/// fall out the same way single-server ones do.
-pub fn run_fleet_recorded(
+/// What watches a fleet run. None of it perturbs the simulation: the
+/// fleet result is byte-identical with or without any of it.
+pub struct FleetObs<'a> {
+    /// Span profiler; see [`run_fleet_with`] for the fleet's spans.
+    pub prof: &'a Profiler,
+    pub sinks: NodeSinks<'a>,
+}
+
+impl FleetObs<'static> {
+    /// No profiler, no node telemetry.
+    pub fn off() -> Self {
+        static OFF: Profiler = Profiler::disabled();
+        Self {
+            prof: &OFF,
+            sinks: NodeSinks::Off,
+        }
+    }
+}
+
+/// Run a fleet under one shared policy on `threads` workers, without
+/// telemetry. See [`run_fleet_with`].
+pub fn run_fleet_threaded(spec: &FleetSpec, policy: &TrainedPolicy, threads: usize) -> FleetResult {
+    let policies = vec![policy; spec.groups().len()];
+    drive(spec, &policies, threads, FleetObs::off(), true).0
+}
+
+/// [`run_fleet_threaded`] with a [`FleetMonitor`] attached
+/// ([`NodeSinks::Monitor`]). Hands back the merged monitor itself, so
+/// callers can read its flight recorder — e.g. to dump the traces
+/// behind an alert — before calling [`FleetMonitor::finish`] for the
+/// [`HealthReport`](deeppower_telemetry::HealthReport).
+pub fn run_fleet_monitored_full(
     spec: &FleetSpec,
     policy: &TrainedPolicy,
-    recs: &[Recorder],
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, recs, true, &Profiler::disabled())
+    threads: usize,
+    cfg: MonitorConfig,
+) -> (FleetResult, FleetMonitor) {
+    let policies = vec![policy; spec.groups().len()];
+    let obs = FleetObs {
+        sinks: NodeSinks::Monitor(cfg),
+        ..FleetObs::off()
+    };
+    let (result, monitor) = drive(spec, &policies, threads, obs, true);
+    (
+        result,
+        monitor.expect("a monitored fleet returns its monitor"),
+    )
 }
 
-/// [`run_fleet_recorded`] with a span [`Profiler`]: the lockstep epoch
-/// opens `fleet.balance` (arrival split, once up front),
-/// `fleet.batch_act` (observe + batched inference), `fleet.advance`
-/// (node sessions, whose `engine.*` spans nest inside) and
-/// `fleet.merge` (finish + percentile merge) spans. Profiling never
-/// perturbs the simulation.
-pub fn run_fleet_profiled(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    recs: &[Recorder],
-    prof: &Profiler,
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, recs, true, prof)
-}
-
-/// Reference implementation: identical lockstep drive, but each node's
-/// action comes from its own single-state forward pass. Exists so the
-/// `fleet_scaling` bench can time batched against per-node inference on
-/// the *same* workload, and so tests can assert the two are
-/// result-identical. Not the path experiments use.
+/// Reference implementation: identical lockstep drive on one thread,
+/// but each node's action comes from its own single-state forward
+/// pass. Exists so the `fleet_scaling` bench can time batched against
+/// per-node inference on the *same* workload, and so tests can assert
+/// the two are result-identical. Not the path experiments use.
 pub fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
-    let recs = vec![Recorder::disabled(); spec.nodes];
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, &recs, false, &Profiler::disabled())
+    let policies = vec![policy; spec.groups().len()];
+    drive(spec, &policies, 1, FleetObs::off(), false).0
 }
 
-/// The same shared policy for every profile group — the historical
-/// single-policy fleet, expressed in coordinator terms.
-fn shared_policies<'a>(spec: &FleetSpec, policy: &'a TrainedPolicy) -> Vec<&'a TrainedPolicy> {
-    spec.groups().iter().map(|_| policy).collect()
+/// Run a fleet: `policies[g]` steers the nodes of profile group `g` in
+/// [`FleetSpec::groups`] order (a homogeneous fleet has one group;
+/// several give HiDVFS-style hierarchical control, and all must agree
+/// on `ShortTime`/`LongTime`), on `threads` workers, watched by `obs`.
+/// Returns the merged [`FleetMonitor`] when `obs` asks for one.
+///
+/// `threads == 0` means "every available core"; any value is clamped
+/// to `[1, nodes]`. One lockstep loop serves every thread count, and
+/// the result is **byte-identical at any of them**:
+///
+/// * Node `i` lives on worker `i % threads` for its whole lifetime
+///   (sessions are `!Send`, so each is created, advanced and finished
+///   on one thread; there is no work stealing). Worker 0 is the calling
+///   thread, which also leads; the driver spawns `threads − 1` more, so
+///   one thread spawns nothing and its barriers return at once.
+/// * Each `LongTime` epoch, workers write their nodes' observed states
+///   into disjoint rows of one shared `N × STATE_DIM` matrix (the first
+///   epoch sees the pre-run empty state, mirroring the single-node
+///   governor acting on its first tick). The leader then runs one
+///   grouped batched forward pass per profile group and publishes one
+///   `ControllerParams` per node, and each worker writes its nodes'
+///   params and advances them to the epoch's end.
+/// * Completion is a monotone counter: a worker adds each of its nodes
+///   exactly once, the epoch it finishes, and every thread leaves the
+///   loop at the same barrier when the count reaches N. The epoch count
+///   and every per-node result are therefore independent of how nodes
+///   land on workers.
+///
+/// Profiler spans (per-thread span stacks, so worker-side `engine.*`
+/// spans never interleave across nodes): `fleet.balance` covers the
+/// arrival split, once up front; `fleet.batch_act` covers the leader's
+/// inference pass alone, once per epoch — observing the nodes and
+/// writing their params run on the workers outside it; `fleet.advance`
+/// is one span per worker per epoch, and the node sessions' `engine.*`
+/// spans nest inside; `fleet.merge` opens on the leader when the loop
+/// ends and covers finishing its nodes, joining the other workers and
+/// the percentile merge.
+pub fn run_fleet_with(
+    spec: &FleetSpec,
+    policies: &[&TrainedPolicy],
+    threads: usize,
+    obs: FleetObs<'_>,
+) -> (FleetResult, Option<FleetMonitor>) {
+    drive(spec, policies, threads, obs, true)
 }
 
 /// Every group policy must agree on the lockstep grids: the fleet runs
@@ -391,204 +463,6 @@ fn check_policies(spec: &FleetSpec, policies: &[&TrainedPolicy]) {
     }
 }
 
-/// Hierarchical control: one trained policy per profile group
-/// (HiDVFS-style), `policies[g]` steering exactly the nodes of group
-/// `g` in [`FleetSpec::groups`] order. A homogeneous fleet has one
-/// group, so this degenerates to [`run_fleet_threaded`]. Same
-/// byte-identity-at-any-thread-count contract as the shared-policy
-/// drivers; all policies must agree on `ShortTime`/`LongTime`.
-pub fn run_fleet_hier(spec: &FleetSpec, policies: &[TrainedPolicy], threads: usize) -> FleetResult {
-    let refs: Vec<&TrainedPolicy> = policies.iter().collect();
-    run_fleet_threaded_hier(spec, &refs, threads, &Profiler::disabled())
-}
-
-/// Per-node [`RunOptions`]: every node shares the fleet's tick grid
-/// (and therefore its window grid) and fault axes, but draws from its
-/// own fault seed stream (`seed + node`) so faults don't strike the
-/// whole fleet in lockstep.
-fn node_opts(
-    base: RunOptions,
-    faults: FaultPlan,
-    overload: OverloadPlan,
-    rtrace: TracePlan,
-    node: usize,
-) -> RunOptions {
-    RunOptions {
-        faults: FaultPlan {
-            seed: faults.seed.wrapping_add(node as u64),
-            ..faults
-        },
-        overload: OverloadPlan {
-            seed: overload.seed.wrapping_add(node as u64),
-            ..overload
-        },
-        // Sampling stays keyed on the fleet-wide seed (a client's
-        // retries land on the same node, and head sampling must pick
-        // the same clients fleet-wide); only the origin tag varies.
-        rtrace: TracePlan {
-            node: node as u64,
-            ..rtrace
-        },
-        ..base
-    }
-}
-
-fn run_fleet_impl(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    recs: &[Recorder],
-    batched: bool,
-    prof: &Profiler,
-) -> FleetResult {
-    check_policies(spec, policies);
-    assert_eq!(recs.len(), spec.nodes, "one recorder per node");
-    let n = spec.nodes;
-    let app_spec = AppSpec::get(spec.app);
-    let group_of = spec.group_of();
-    let servers: Vec<Server> = spec.group_configs().into_iter().map(Server::new).collect();
-    let sp = prof.span("fleet.balance");
-    let arrivals = fleet_arrivals(spec);
-    let streams = split_arrivals(&arrivals, &spec.capacities(), spec.balancer);
-    let assigned: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    drop(sp);
-
-    let lead = policies[0];
-    let mut coordinator = Coordinator::new(spec.groups(), policies);
-    let opts = RunOptions {
-        tick_ns: lead.deeppower.short_time,
-        ..Default::default()
-    };
-    let cells: Vec<Rc<Cell<ControllerParams>>> = (0..n)
-        .map(|_| Rc::new(Cell::new(ControllerParams::default())))
-        .collect();
-    let mut govs: Vec<SharedParamsController> = cells
-        .iter()
-        .map(|c| SharedParamsController {
-            params: Rc::clone(c),
-        })
-        .collect();
-    let mut sessions: Vec<Session<'_>> = govs
-        .iter_mut()
-        .zip(&streams)
-        .zip(recs)
-        .enumerate()
-        .map(|(i, ((gov, stream), rec))| {
-            servers[group_of[i]]
-                .session(
-                    stream,
-                    gov as &mut dyn Governor,
-                    node_opts(opts, spec.faults, spec.overload, spec.rtrace, i),
-                    rec,
-                )
-                .with_profiler(prof)
-        })
-        .collect();
-    let mut observers: Vec<StateObserver> = (0..n)
-        .map(|i| StateObserver::new(policies[group_of[i]].deeppower.state_norm))
-        .collect();
-    let mut states = Matrix::zeros(n, STATE_DIM);
-    let mut actions = vec![ControllerParams::default(); n];
-
-    let long = lead.deeppower.long_time.max(1);
-    let mut epochs = 0u64;
-    loop {
-        // Observe every node (the first epoch sees the pre-run empty
-        // state, mirroring the single-node governor acting on its first
-        // tick) and act — one grouped batched pass per profile, or N
-        // single passes on the reference path. The coordinator reuses
-        // its per-group out/scratch buffers across epochs so the
-        // steady-state loop never allocates.
-        let sp = prof.span("fleet.batch_act");
-        for (i, (observer, session)) in observers.iter_mut().zip(&sessions).enumerate() {
-            let s = session.with_view(|v| observer.observe(v));
-            states.set_row(i, &s);
-        }
-        if batched {
-            coordinator.act(&states, &mut actions);
-        } else {
-            coordinator.act_per_node(&states, &mut actions);
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            cell.set(actions[i]);
-        }
-        drop(sp);
-        epochs += 1;
-        let t_stop = epochs.saturating_mul(long);
-        let sp = prof.span("fleet.advance");
-        let mut all_done = true;
-        for session in sessions.iter_mut() {
-            if !session.advance_until(t_stop) {
-                all_done = false;
-            }
-        }
-        drop(sp);
-        if all_done {
-            break;
-        }
-    }
-
-    let _sp = prof.span("fleet.merge");
-    let results: Vec<_> = sessions.into_iter().map(Session::finish).collect();
-    assemble(spec, &app_spec, epochs, &assigned, results)
-}
-
-/// Multi-threaded [`run_fleet`]: the same lockstep drive with the node
-/// sessions partitioned across `threads` persistent workers and a
-/// barrier at every `LongTime` epoch.
-///
-/// `threads == 0` means "use every available core"; any value is
-/// clamped to `[1, nodes]` and `1` falls back to the serial driver. The
-/// result is **byte-identical to [`run_fleet`] at any thread count** —
-/// the same discipline as the harness `run_grid`:
-///
-/// * Node `i` lives on worker `i % threads` for its whole lifetime
-///   (sessions are `!Send`, so each is created, advanced and finished
-///   on one thread; there is no work stealing).
-/// * Each epoch, workers write their nodes' observed states into
-///   disjoint rows of one shared `N × STATE_DIM` matrix, then the
-///   leader runs the *single* batched forward pass — bit-identical to
-///   the serial loop's — and publishes one `ControllerParams` per node.
-/// * Completion is a monotone counter: a worker adds each of its nodes
-///   exactly once, the epoch it finishes, and every thread leaves the
-///   loop at the same barrier when the count reaches N. The epoch count
-///   and every per-node result therefore match the serial driver float
-///   for float.
-pub fn run_fleet_threaded(spec: &FleetSpec, policy: &TrainedPolicy, threads: usize) -> FleetResult {
-    run_fleet_threaded_profiled(spec, policy, threads, &Profiler::disabled())
-}
-
-/// [`run_fleet_threaded`] with a span [`Profiler`]. The profiler keeps
-/// per-thread span stacks, so worker-side `engine.*` spans never
-/// interleave across nodes; the leader's `fleet.batch_act` covers the
-/// batched inference exactly as in the serial driver. Profiling never
-/// perturbs the simulation.
-pub fn run_fleet_threaded_profiled(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_threaded_hier(spec, &policies, threads, prof)
-}
-
-/// Thread-count dispatch shared by [`run_fleet_threaded_profiled`] and
-/// [`run_fleet_hier`]: `1` falls back to the serial driver.
-fn run_fleet_threaded_hier(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    assert!(spec.nodes > 0, "fleet needs at least one node");
-    let threads = resolve_threads(threads, spec.nodes);
-    if threads == 1 {
-        let recs = vec![Recorder::disabled(); spec.nodes];
-        return run_fleet_impl(spec, policies, &recs, true, prof);
-    }
-    run_fleet_parallel(spec, policies, threads, prof)
-}
-
 /// `0` → all available cores; otherwise clamp into `[1, nodes]`.
 fn resolve_threads(threads: usize, nodes: usize) -> usize {
     let t = if threads == 0 {
@@ -599,276 +473,133 @@ fn resolve_threads(threads: usize, nodes: usize) -> usize {
     t.min(nodes).max(1)
 }
 
-/// Run a fleet (serial or threaded, per `threads`) with a
-/// [`FleetMonitor`] attached: every node's telemetry stream — window
-/// rollups, injected faults, governor steps — feeds the monitor inline
-/// through per-node [`MonitorSink`] recorders, and the final
-/// [`HealthReport`] rides along with the fleet result.
-///
-/// The report is **byte-identical at any thread count**: monitor state
-/// is keyed `(window, node)` and order-independent across nodes, so
-/// the per-worker monitors the parallel driver merges reconstruct
-/// exactly the state the serial driver builds (asserted by
-/// `monitored_fleet_report_is_byte_identical_at_any_thread_count`).
-pub fn run_fleet_monitored(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    threads: usize,
-    cfg: MonitorConfig,
-) -> (FleetResult, HealthReport) {
-    let (result, monitor) = run_fleet_monitored_full(spec, policy, threads, cfg);
-    let report = monitor.finish();
-    (result, report)
-}
-
-/// [`run_fleet_monitored`], but hands back the merged [`FleetMonitor`]
-/// itself instead of its finished [`HealthReport`]. Callers that need
-/// the monitor's flight recorder — e.g. to dump the traces behind an
-/// alert — take this entry point and call
-/// [`FleetMonitor::finish`] themselves.
-pub fn run_fleet_monitored_full(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    threads: usize,
-    cfg: MonitorConfig,
-) -> (FleetResult, FleetMonitor) {
-    assert!(spec.nodes > 0, "fleet needs at least one node");
-    let threads = resolve_threads(threads, spec.nodes);
-    if threads == 1 {
-        let monitor = Rc::new(RefCell::new(FleetMonitor::new(cfg)));
-        let recs: Vec<Recorder> = (0..spec.nodes)
-            .map(|i| Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(&monitor), i as u64))))
-            .collect();
-        let policies = shared_policies(spec, policy);
-        let result = run_fleet_impl(spec, &policies, &recs, true, &Profiler::disabled());
-        // The sessions (and with them every sink's Rc clone) died with
-        // run_fleet_impl; dropping the recorders leaves this function
-        // holding the only reference.
-        drop(recs);
-        let monitor = Rc::try_unwrap(monitor)
-            .unwrap_or_else(|m| {
-                unreachable!(
-                    "serial fleet monitor still shared: {} refs",
-                    Rc::strong_count(&m)
-                )
-            })
-            .into_inner();
-        return (result, monitor);
+/// Per-node [`RunOptions`]: every node shares the fleet's tick grid
+/// (and therefore its window grid) and fault axes, but draws from its
+/// own fault seed stream (`seed + node`) so faults don't strike the
+/// whole fleet in lockstep.
+fn node_opts(base: RunOptions, spec: &FleetSpec, node: usize) -> RunOptions {
+    RunOptions {
+        faults: FaultPlan {
+            seed: spec.faults.seed.wrapping_add(node as u64),
+            ..spec.faults
+        },
+        overload: OverloadPlan {
+            seed: spec.overload.seed.wrapping_add(node as u64),
+            ..spec.overload
+        },
+        // Sampling stays keyed on the fleet-wide seed (a client's
+        // retries land on the same node, and head sampling must pick
+        // the same clients fleet-wide); only the origin tag varies.
+        rtrace: TracePlan {
+            node: node as u64,
+            ..spec.rtrace
+        },
+        ..base
     }
-    let policies = shared_policies(spec, policy);
-    let (result, monitor) =
-        run_fleet_parallel_inner(spec, &policies, threads, &Profiler::disabled(), Some(cfg));
-    (
-        result,
-        monitor.expect("monitored parallel fleet returns a monitor"),
-    )
 }
 
-fn run_fleet_parallel(
+/// The leader's epoch exchange: workers fill `states` rows, the
+/// leader's coordinator turns them into `actions`.
+struct Exchange {
+    states: Matrix,
+    actions: Vec<ControllerParams>,
+    coordinator: Coordinator,
+}
+
+/// Everything the workers of one run share.
+struct Lockstep<'a> {
+    spec: &'a FleetSpec,
+    policies: &'a [&'a TrainedPolicy],
+    group_of: Vec<usize>,
+    servers: Vec<Server>,
+    streams: Vec<Vec<Request>>,
+    opts: RunOptions,
+    long: u64,
+    threads: usize,
+    /// Grouped batched inference, or one pass per node (the reference).
+    batched: bool,
+    prof: &'a Profiler,
+    monitor: Option<MonitorConfig>,
+    exchange: Mutex<Exchange>,
+    barrier: Barrier,
+    /// Nodes finished so far (monotone; see [`run_fleet_with`]).
+    done: AtomicUsize,
+    results: Vec<OnceLock<SimResult>>,
+    monitors: Vec<OnceLock<FleetMonitor>>,
+}
+
+/// The one lockstep driver behind every entry point; see
+/// [`run_fleet_with`] for the protocol.
+fn drive(
     spec: &FleetSpec,
     policies: &[&TrainedPolicy],
     threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    run_fleet_parallel_inner(spec, policies, threads, prof, None).0
-}
-
-fn run_fleet_parallel_inner(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    threads: usize,
-    prof: &Profiler,
-    monitor_cfg: Option<MonitorConfig>,
+    obs: FleetObs<'_>,
+    batched: bool,
 ) -> (FleetResult, Option<FleetMonitor>) {
     check_policies(spec, policies);
     let n = spec.nodes;
-    debug_assert!(threads >= 2 && threads <= n);
-    let app_spec = AppSpec::get(spec.app);
-    let group_of = spec.group_of();
+    let threads = resolve_threads(threads, n);
+    let (recs, monitor) = match obs.sinks {
+        NodeSinks::Off => (None, None),
+        NodeSinks::Recorders(recs) => {
+            assert_eq!(recs.len(), n, "one recorder per node");
+            assert_eq!(threads, 1, "per-node recorders need a one-thread fleet");
+            (Some(recs), None)
+        }
+        NodeSinks::Monitor(cfg) => (None, Some(cfg)),
+    };
+    let prof = obs.prof;
     let servers: Vec<Server> = spec.group_configs().into_iter().map(Server::new).collect();
     let sp = prof.span("fleet.balance");
     let arrivals = fleet_arrivals(spec);
     let streams = split_arrivals(&arrivals, &spec.capacities(), spec.balancer);
-    let assigned: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
     drop(sp);
 
     let lead = policies[0];
-    let mut coordinator = Coordinator::new(spec.groups(), policies);
-    let opts = RunOptions {
-        tick_ns: lead.deeppower.short_time,
-        ..Default::default()
+    let ls = Lockstep {
+        spec,
+        policies,
+        group_of: spec.group_of(),
+        servers,
+        streams,
+        opts: RunOptions {
+            tick_ns: lead.deeppower.short_time,
+            ..Default::default()
+        },
+        long: lead.deeppower.long_time.max(1),
+        threads,
+        batched,
+        prof,
+        monitor,
+        exchange: Mutex::new(Exchange {
+            states: Matrix::zeros(n, STATE_DIM),
+            actions: vec![ControllerParams::default(); n],
+            coordinator: Coordinator::new(spec.groups(), policies),
+        }),
+        barrier: Barrier::new(threads),
+        done: AtomicUsize::new(0),
+        results: (0..n).map(|_| OnceLock::new()).collect(),
+        monitors: (0..threads).map(|_| OnceLock::new()).collect(),
     };
-    let long = lead.deeppower.long_time.max(1);
-    let state_norms: Vec<StateNorm> = (0..n)
-        .map(|i| policies[group_of[i]].deeppower.state_norm)
-        .collect();
-
-    // Epoch protocol, three barriers per epoch:
-    //   workers observe → states rows   ── A ──
-    //   leader: one batched pass → actions     ── B ──
-    //   workers: set params, advance_until(t_stop), bump `done`  ── C ──
-    //   everyone: done == n ? break : next epoch
-    // `done` is monotone-cumulative (each node counted exactly once by
-    // its owner, the epoch it finishes), so there is no reset step and
-    // no reset race; every thread reads the same value after barrier C.
-    let states = Mutex::new(Matrix::zeros(n, STATE_DIM));
-    let actions = Mutex::new(vec![ControllerParams::default(); n]);
-    let barrier = Barrier::new(threads + 1);
-    let done = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<deeppower_simd_server::SimResult>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let mon_slots: Vec<OnceLock<FleetMonitor>> = (0..threads).map(|_| OnceLock::new()).collect();
-    let faults = spec.faults;
-    let overload = spec.overload;
-    let rtrace = spec.rtrace;
-
-    let mut epochs = 0u64;
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (servers, streams, group_of) = (&servers, &streams, &group_of);
-            let (states, actions, state_norms) = (&states, &actions, &state_norms);
-            let (barrier, done, slots, prof) = (&barrier, &done, &slots, prof);
-            let (monitor_cfg, mon_slots) = (monitor_cfg.as_ref(), &mon_slots);
+    let (epochs, _merge) = std::thread::scope(|scope| {
+        for w in 1..threads {
+            let ls = &ls;
             scope.spawn(move || {
-                // Everything a session touches is created on this
-                // thread: sessions hold `Rc` cells and `&mut` governor
-                // borrows and must never migrate.
-                let owned: Vec<usize> = (w..n).step_by(threads).collect();
-                // Worker-local monitor: nodes feed it inline through
-                // their sinks; workers own disjoint node sets, so the
-                // merged monitors equal the serial driver's.
-                let worker_mon =
-                    monitor_cfg.map(|cfg| Rc::new(RefCell::new(FleetMonitor::new(cfg.clone()))));
-                let recs: Vec<Recorder> = match &worker_mon {
-                    Some(m) => owned
-                        .iter()
-                        .map(|&i| {
-                            Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64)))
-                        })
-                        .collect(),
-                    None => vec![Recorder::disabled(); owned.len()],
-                };
-                let cells: Vec<Rc<Cell<ControllerParams>>> = owned
-                    .iter()
-                    .map(|_| Rc::new(Cell::new(ControllerParams::default())))
-                    .collect();
-                let mut govs: Vec<SharedParamsController> = cells
-                    .iter()
-                    .map(|c| SharedParamsController {
-                        params: Rc::clone(c),
-                    })
-                    .collect();
-                let mut sessions: Vec<Session<'_>> = govs
-                    .iter_mut()
-                    .zip(&owned)
-                    .zip(&recs)
-                    .map(|((gov, &i), rec)| {
-                        servers[group_of[i]]
-                            .session(
-                                &streams[i],
-                                gov as &mut dyn Governor,
-                                node_opts(opts, faults, overload, rtrace, i),
-                                rec,
-                            )
-                            .with_profiler(prof)
-                    })
-                    .collect();
-                let mut observers: Vec<StateObserver> = owned
-                    .iter()
-                    .map(|&i| StateObserver::new(state_norms[i]))
-                    .collect();
-                let mut finished = vec![false; owned.len()];
-                let mut local_epochs = 0u64;
-                loop {
-                    {
-                        let mut st = states.lock().expect("fleet states lock");
-                        for ((k, session), observer) in
-                            sessions.iter().enumerate().zip(observers.iter_mut())
-                        {
-                            let s = session.with_view(|v| observer.observe(v));
-                            st.set_row(owned[k], &s);
-                        }
-                    }
-                    barrier.wait(); // A: every node's state row written
-                    barrier.wait(); // B: leader published this epoch's actions
-                    {
-                        let acts = actions.lock().expect("fleet actions lock");
-                        for (k, cell) in cells.iter().enumerate() {
-                            cell.set(acts[owned[k]]);
-                        }
-                    }
-                    local_epochs += 1;
-                    let t_stop = local_epochs.saturating_mul(long);
-                    let sp = prof.span("fleet.advance");
-                    let mut newly = 0;
-                    for (k, session) in sessions.iter_mut().enumerate() {
-                        if session.advance_until(t_stop) && !finished[k] {
-                            finished[k] = true;
-                            newly += 1;
-                        }
-                    }
-                    drop(sp);
-                    if newly > 0 {
-                        done.fetch_add(newly, Ordering::SeqCst);
-                    }
-                    barrier.wait(); // C: all completions visible
-                    if done.load(Ordering::SeqCst) == n {
-                        break;
-                    }
-                }
-                for (k, session) in sessions.into_iter().enumerate() {
-                    if slots[owned[k]].set(session.finish()).is_err() {
-                        unreachable!("node {} produced two results", owned[k]);
-                    }
-                }
-                if let Some(m) = worker_mon {
-                    // The sessions (and their recorders) are gone, so
-                    // this worker holds the only strong reference left.
-                    drop(recs);
-                    let mon = Rc::try_unwrap(m)
-                        .unwrap_or_else(|m| {
-                            unreachable!(
-                                "worker {w} monitor still shared: {} refs",
-                                Rc::strong_count(&m)
-                            )
-                        })
-                        .into_inner();
-                    if mon_slots[w].set(mon).is_err() {
-                        unreachable!("worker {w} published two monitors");
-                    }
-                }
+                ls.run_worker(w, None);
             });
         }
-
-        // Leader: one grouped batched forward pass per profile group
-        // per epoch; the coordinator reuses its per-group out/scratch
-        // buffers so nothing here allocates in steady state.
-        loop {
-            barrier.wait(); // A
-            {
-                let sp = prof.span("fleet.batch_act");
-                let st = states.lock().expect("fleet states lock");
-                let mut acts = actions.lock().expect("fleet actions lock");
-                coordinator.act(&st, &mut acts);
-                drop(sp);
-            }
-            barrier.wait(); // B
-            epochs += 1;
-            barrier.wait(); // C
-            if done.load(Ordering::SeqCst) == n {
-                break;
-            }
-        }
+        ls.run_worker(0, recs)
     });
 
-    let _sp = prof.span("fleet.merge");
-    let results: Vec<_> = slots
+    let results = ls
+        .results
         .into_iter()
         .map(|s| s.into_inner().expect("every node produces a result"))
         .collect();
-    let monitor = monitor_cfg.map(|cfg| {
+    let monitor = ls.monitor.map(|cfg| {
         let mut fleet_mon = FleetMonitor::new(cfg);
-        for slot in mon_slots {
+        for slot in ls.monitors {
             fleet_mon.merge(
                 slot.into_inner()
                     .expect("every worker publishes its monitor"),
@@ -876,10 +607,123 @@ fn run_fleet_parallel_inner(
         }
         fleet_mon
     });
-    (
-        assemble(spec, &app_spec, epochs, &assigned, results),
-        monitor,
-    )
+    (assemble(spec, epochs, &ls.streams, results), monitor)
+}
+
+impl Lockstep<'_> {
+    /// Worker `w`'s share of the run: build its nodes' sessions, drive
+    /// them through the lockstep loop (leading it if `w == 0`), finish
+    /// them and publish the results. `recs` are the caller's per-node
+    /// recorders ([`NodeSinks::Recorders`]; one worker only). Returns
+    /// the epoch count and, on the leader, the open `fleet.merge` span.
+    fn run_worker(&self, w: usize, recs: Option<&[Recorder]>) -> (u64, Option<Span>) {
+        let n = self.spec.nodes;
+        let owned: Vec<usize> = (w..n).step_by(self.threads).collect();
+        let monitor = self
+            .monitor
+            .as_ref()
+            .map(|cfg| Rc::new(RefCell::new(FleetMonitor::new(cfg.clone()))));
+        // Clones of the caller's recorders share their sinks.
+        let recs: Vec<Recorder> = match (&monitor, recs) {
+            (Some(m), _) => owned
+                .iter()
+                .map(|&i| Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64))))
+                .collect(),
+            (None, Some(recs)) => recs.to_vec(),
+            (None, None) => vec![Recorder::disabled(); owned.len()],
+        };
+        let cells: Vec<Rc<Cell<ControllerParams>>> = owned.iter().map(|_| Rc::default()).collect();
+        let mut govs: Vec<SharedParamsController> = cells
+            .iter()
+            .map(|c| SharedParamsController {
+                params: Rc::clone(c),
+            })
+            .collect();
+        let mut sessions: Vec<Session<'_>> = govs
+            .iter_mut()
+            .zip(&owned)
+            .zip(&recs)
+            .map(|((gov, &i), rec)| {
+                self.servers[self.group_of[i]]
+                    .session(
+                        &self.streams[i],
+                        gov as &mut dyn Governor,
+                        node_opts(self.opts, self.spec, i),
+                        rec,
+                    )
+                    .with_profiler(self.prof)
+            })
+            .collect();
+        let mut observers: Vec<StateObserver> = owned
+            .iter()
+            .map(|&i| StateObserver::new(self.policies[self.group_of[i]].deeppower.state_norm))
+            .collect();
+
+        // Three barriers per epoch: A after the state rows are written,
+        // B after the leader published the actions, C after every
+        // node's completion is counted.
+        let mut finished = vec![false; owned.len()];
+        let mut epochs = 0u64;
+        loop {
+            {
+                let mut ex = self.exchange.lock().expect("fleet exchange lock");
+                for ((session, observer), &i) in sessions.iter().zip(&mut observers).zip(&owned) {
+                    let s = session.with_view(|v| observer.observe(v));
+                    ex.states.set_row(i, &s);
+                }
+            }
+            self.barrier.wait(); // A
+            if w == 0 {
+                // The coordinator reuses its per-group out/scratch
+                // buffers, so the steady-state loop never allocates.
+                let _sp = self.prof.span("fleet.batch_act");
+                let ex = &mut *self.exchange.lock().expect("fleet exchange lock");
+                if self.batched {
+                    ex.coordinator.act(&ex.states, &mut ex.actions);
+                } else {
+                    ex.coordinator.act_per_node(&ex.states, &mut ex.actions);
+                }
+            }
+            self.barrier.wait(); // B
+            {
+                let ex = self.exchange.lock().expect("fleet exchange lock");
+                for (cell, &i) in cells.iter().zip(&owned) {
+                    cell.set(ex.actions[i]);
+                }
+            }
+            epochs += 1;
+            let t_stop = epochs.saturating_mul(self.long);
+            let sp = self.prof.span("fleet.advance");
+            let mut newly = 0;
+            for (session, fin) in sessions.iter_mut().zip(&mut finished) {
+                if session.advance_until(t_stop) && !*fin {
+                    *fin = true;
+                    newly += 1;
+                }
+            }
+            drop(sp);
+            self.done.fetch_add(newly, Ordering::SeqCst);
+            self.barrier.wait(); // C
+            if self.done.load(Ordering::SeqCst) == n {
+                break;
+            }
+        }
+
+        let merge = (w == 0).then(|| self.prof.span("fleet.merge"));
+        for (session, &i) in sessions.into_iter().zip(&owned) {
+            let fresh = self.results[i].set(session.finish()).is_ok();
+            assert!(fresh, "node {i} produced two results");
+        }
+        if let Some(m) = monitor {
+            // The sessions (and their recorders) are gone, so this
+            // worker holds the only strong reference left.
+            drop(recs);
+            let m = Rc::try_unwrap(m).expect("worker monitor still shared");
+            let fresh = self.monitors[w].set(m.into_inner()).is_ok();
+            assert!(fresh, "worker {w} published two monitors");
+        }
+        (epochs, merge)
+    }
 }
 
 /// Fold per-node [`SimResult`]s into the fleet report. Fleet
@@ -888,10 +732,9 @@ fn run_fleet_parallel_inner(
 /// node runs hot).
 fn assemble(
     spec: &FleetSpec,
-    app_spec: &AppSpec,
     epochs: u64,
-    assigned: &[u64],
-    results: Vec<deeppower_simd_server::SimResult>,
+    streams: &[Vec<Request>],
+    results: Vec<SimResult>,
 ) -> FleetResult {
     let ms = |ns: u64| ns as f64 / MILLISECOND as f64;
     let mut merged: Vec<RequestRecord> = Vec::new();
@@ -914,7 +757,7 @@ fn assemble(
         total_shed += sim.shed;
         per_node.push(NodeSummary {
             node,
-            assigned: assigned[node],
+            assigned: streams[node].len() as u64,
             requests: s.count,
             goodput: sim.goodput,
             wasted: sim.wasted,
@@ -936,7 +779,7 @@ fn assemble(
     }
     let fleet = LatencyStats::from_records(&merged);
     FleetResult {
-        app: app_spec.name.to_string(),
+        app: AppSpec::get(spec.app).name.to_string(),
         nodes: spec.nodes,
         balancer: spec.balancer.label().to_string(),
         seed: spec.seed,
@@ -967,13 +810,23 @@ mod tests {
         FleetSpec::uniform(App::Masstree, nodes, balancer, 11, 0.4, 3)
     }
 
+    fn monitored(
+        spec: &FleetSpec,
+        policy: &TrainedPolicy,
+        threads: usize,
+        cfg: MonitorConfig,
+    ) -> (FleetResult, deeppower_telemetry::HealthReport) {
+        let (result, monitor) = run_fleet_monitored_full(spec, policy, threads, cfg);
+        (result, monitor.finish())
+    }
+
     #[test]
     fn fleet_conserves_requests_end_to_end() {
         for balancer in BalancerPolicy::all() {
             let spec = small_spec(3, balancer);
             let policy = untrained_policy(spec.app, 5);
             let generated = fleet_arrivals(&spec).len() as u64;
-            let res = run_fleet(&spec, &policy);
+            let res = run_fleet_threaded(&spec, &policy, 1);
             assert_eq!(
                 res.total_requests, generated,
                 "{balancer:?}: fleet dropped or duplicated requests"
@@ -994,8 +847,8 @@ mod tests {
     fn fleet_runs_are_deterministic() {
         let spec = small_spec(2, BalancerPolicy::JoinShortestQueue);
         let policy = untrained_policy(spec.app, 7);
-        let a = run_fleet(&spec, &policy).to_json();
-        let b = run_fleet(&spec, &policy).to_json();
+        let a = run_fleet_threaded(&spec, &policy, 1).to_json();
+        let b = run_fleet_threaded(&spec, &policy, 1).to_json();
         assert_eq!(a, b, "same spec + policy must reproduce byte-identically");
     }
 
@@ -1006,7 +859,7 @@ mod tests {
         // bit-faithful to act.
         let spec = small_spec(4, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 3);
-        let batched = run_fleet(&spec, &policy).to_json();
+        let batched = run_fleet_threaded(&spec, &policy, 1).to_json();
         let reference = run_fleet_reference(&spec, &policy).to_json();
         assert_eq!(batched, reference);
     }
@@ -1015,10 +868,13 @@ mod tests {
     fn profiled_fleet_is_byte_identical_and_captures_epoch_spans() {
         let spec = small_spec(2, BalancerPolicy::JoinShortestQueue);
         let policy = untrained_policy(spec.app, 7);
-        let plain = run_fleet(&spec, &policy).to_json();
+        let plain = run_fleet_threaded(&spec, &policy, 1).to_json();
         let prof = Profiler::enabled();
-        let recs = vec![Recorder::disabled(); spec.nodes];
-        let profiled = run_fleet_profiled(&spec, &policy, &recs, &prof).to_json();
+        let obs = FleetObs {
+            prof: &prof,
+            sinks: NodeSinks::Off,
+        };
+        let profiled = run_fleet_with(&spec, &[&policy], 1, obs).0.to_json();
         assert_eq!(plain, profiled, "profiling perturbed the fleet result");
 
         let rows = prof.phase_table();
@@ -1041,7 +897,7 @@ mod tests {
         // regardless of how nodes land on workers.
         let spec = small_spec(4, BalancerPolicy::JoinShortestQueue);
         let policy = untrained_policy(spec.app, 13);
-        let serial = run_fleet(&spec, &policy).to_json();
+        let serial = run_fleet_threaded(&spec, &policy, 1).to_json();
         for threads in [1usize, 2, 8] {
             let parallel = run_fleet_threaded(&spec, &policy, threads).to_json();
             assert_eq!(serial, parallel, "--threads {threads} diverged from serial");
@@ -1079,24 +935,40 @@ mod tests {
             ),
         ];
         for (balancer, energy_bits, p99_bits, assigned) in cases {
-            let res = run_fleet(&small_spec(3, balancer), &policy);
-            assert_eq!(res.total_requests, 283028, "{balancer:?}: trace drifted");
-            assert_eq!(
-                res.total_energy_j.to_bits(),
-                energy_bits,
-                "{balancer:?}: energy drifted from the pre-profile baseline"
-            );
-            assert_eq!(
-                res.fleet_p99_ms.to_bits(),
-                p99_bits,
-                "{balancer:?}: p99 drifted from the pre-profile baseline"
-            );
-            let got: Vec<u64> = res.per_node.iter().map(|n| n.assigned).collect();
-            assert_eq!(got, assigned, "{balancer:?}: balancer split drifted");
-            if balancer == BalancerPolicy::RoundRobin {
-                assert_eq!(res.drl_epochs, 4, "epoch grid drifted");
+            for threads in [1usize, 2, 8] {
+                let res = run_fleet_threaded(&small_spec(3, balancer), &policy, threads);
+                assert_eq!(res.total_requests, 283028, "{balancer:?}: trace drifted");
+                assert_eq!(
+                    res.total_energy_j.to_bits(),
+                    energy_bits,
+                    "{balancer:?} --threads {threads}: energy drifted from the pre-profile baseline"
+                );
+                assert_eq!(
+                    res.fleet_p99_ms.to_bits(),
+                    p99_bits,
+                    "{balancer:?} --threads {threads}: p99 drifted from the pre-profile baseline"
+                );
+                let got: Vec<u64> = res.per_node.iter().map(|n| n.assigned).collect();
+                assert_eq!(got, assigned, "{balancer:?}: balancer split drifted");
+                if balancer == BalancerPolicy::RoundRobin {
+                    assert_eq!(res.drl_epochs, 4, "epoch grid drifted");
+                }
             }
         }
+    }
+
+    #[test]
+    fn invalid_profiles_are_a_one_line_error() {
+        let spec = small_spec(3, BalancerPolicy::RoundRobin);
+        let empty = spec.clone().with_profiles(Vec::new()).unwrap_err();
+        assert_eq!(empty, "profile list cannot be empty");
+        let coreless = NodeProfile {
+            cores: 0,
+            ..NodeProfile::paper_default(8, 2)
+        };
+        let err = spec.with_profiles(vec![coreless]).unwrap_err();
+        assert!(err.contains("cores must be at least 1"), "{err}");
+        assert!(!err.contains('\n'), "multi-line error: {err}");
     }
 
     #[test]
@@ -1108,11 +980,12 @@ mod tests {
         let uniform = small_spec(3, BalancerPolicy::JoinShortestQueue);
         let profiled = uniform
             .clone()
-            .with_profiles(vec![NodeProfile::paper_default(8, 3)]);
+            .with_profiles(vec![NodeProfile::paper_default(8, 3)])
+            .unwrap();
         assert_eq!(profiled.nodes, 3);
         assert_eq!(
-            run_fleet(&uniform, &policy).to_json(),
-            run_fleet(&profiled, &policy).to_json(),
+            run_fleet_threaded(&uniform, &policy, 1).to_json(),
+            run_fleet_threaded(&profiled, &policy, 1).to_json(),
             "one-profile fleet diverged from the profile-free spec"
         );
     }
@@ -1123,22 +996,24 @@ mod tests {
         // range) next to 2 four-core nodes with big.LITTLE core caps.
         // Same bar as the homogeneous driver: byte-identity between the
         // serial and threaded drivers at any thread count.
-        let spec = small_spec(0, BalancerPolicy::PowerAware).with_profiles(vec![
-            NodeProfile {
-                name: "edge-1c".into(),
-                max_mhz: 1500,
-                ..NodeProfile::paper_default(1, 4)
-            },
-            NodeProfile {
-                name: "quad-biglittle".into(),
-                little_cores: 2,
-                little_max_mhz: 1100,
-                ..NodeProfile::paper_default(4, 2)
-            },
-        ]);
+        let spec = small_spec(0, BalancerPolicy::PowerAware)
+            .with_profiles(vec![
+                NodeProfile {
+                    name: "edge-1c".into(),
+                    max_mhz: 1500,
+                    ..NodeProfile::paper_default(1, 4)
+                },
+                NodeProfile {
+                    name: "quad-biglittle".into(),
+                    little_cores: 2,
+                    little_max_mhz: 1100,
+                    ..NodeProfile::paper_default(4, 2)
+                },
+            ])
+            .unwrap();
         assert_eq!(spec.nodes, 6);
         let policy = untrained_policy(spec.app, 13);
-        let serial = run_fleet(&spec, &policy);
+        let serial = run_fleet_threaded(&spec, &policy, 1);
         let generated = fleet_arrivals(&spec).len() as u64;
         assert_eq!(
             serial.total_requests, generated,
@@ -1172,31 +1047,35 @@ mod tests {
         // (the regime where controller params demonstrably change the
         // result), so any divergence from the shared-policy run can
         // only come from per-group policy attribution.
-        let spec = small_spec(0, BalancerPolicy::JoinShortestQueue).with_profiles(vec![
-            NodeProfile {
-                name: "rack-a".into(),
-                ..NodeProfile::paper_default(8, 2)
-            },
-            NodeProfile {
-                name: "rack-b".into(),
-                ..NodeProfile::paper_default(8, 2)
-            },
-        ]);
-        let policies = vec![
+        let spec = small_spec(0, BalancerPolicy::JoinShortestQueue)
+            .with_profiles(vec![
+                NodeProfile {
+                    name: "rack-a".into(),
+                    ..NodeProfile::paper_default(8, 2)
+                },
+                NodeProfile {
+                    name: "rack-b".into(),
+                    ..NodeProfile::paper_default(8, 2)
+                },
+            ])
+            .unwrap();
+        let policies = [
             untrained_policy(spec.app, 17),
             untrained_policy(spec.app, 23),
         ];
-        let serial = run_fleet_hier(&spec, &policies, 1);
+        let groups = [&policies[0], &policies[1]];
+        let hier = |threads| run_fleet_with(&spec, &groups, threads, FleetObs::off()).0;
+        let serial = hier(1);
         assert_eq!(serial.per_node.len(), 4);
         let serial_json = serial.to_json();
         for threads in [2usize, 4] {
             assert_eq!(
                 serial_json,
-                run_fleet_hier(&spec, &policies, threads).to_json(),
+                hier(threads).to_json(),
                 "hier --threads {threads} diverged from serial"
             );
         }
-        let shared = run_fleet(&spec, &policies[0]).to_json();
+        let shared = run_fleet_threaded(&spec, &policies[0], 1).to_json();
         assert_ne!(
             serial_json, shared,
             "second group's policy had no effect on the fleet"
@@ -1208,7 +1087,7 @@ mod tests {
         // Satellite of the gauge-merge bugfix: the fleet-level peak is
         // the deepest any node got, not whichever node merged last.
         let spec = small_spec(3, BalancerPolicy::JoinShortestQueue);
-        let res = run_fleet(&spec, &untrained_policy(spec.app, 5));
+        let res = run_fleet_threaded(&spec, &untrained_policy(spec.app, 5), 1);
         let max = res
             .per_node
             .iter()
@@ -1227,7 +1106,11 @@ mod tests {
         let policy = untrained_policy(spec.app, 5);
         let plain = run_fleet_threaded(&spec, &policy, 2).to_json();
         let prof = Profiler::enabled();
-        let profiled = run_fleet_threaded_profiled(&spec, &policy, 2, &prof).to_json();
+        let obs = FleetObs {
+            prof: &prof,
+            sinks: NodeSinks::Off,
+        };
+        let profiled = run_fleet_with(&spec, &[&policy], 2, obs).0.to_json();
         assert_eq!(plain, profiled, "profiling perturbed the parallel fleet");
         let rows = prof.phase_table();
         let count = |n: &str| rows.iter().find(|r| r.name == n).map_or(0, |r| r.count);
@@ -1263,7 +1146,7 @@ mod tests {
             ..OverloadPlan::none()
         };
         let policy = untrained_policy(spec.app, 13);
-        let serial = run_fleet(&spec, &policy);
+        let serial = run_fleet_threaded(&spec, &policy, 1);
         assert!(
             serial.total_shed > 0 && serial.total_wasted > 0,
             "overload plan never engaged: shed={} wasted={}",
@@ -1297,8 +1180,8 @@ mod tests {
         };
         let policy = untrained_policy(spec.app, 13);
         let cfg = MonitorConfig::with_slo(SloSpec::for_sla_ns("masstree", MILLISECOND));
-        let plain = run_fleet(&spec, &policy).to_json();
-        let (serial_res, serial_rep) = run_fleet_monitored(&spec, &policy, 1, cfg.clone());
+        let plain = run_fleet_threaded(&spec, &policy, 1).to_json();
+        let (serial_res, serial_rep) = monitored(&spec, &policy, 1, cfg.clone());
         assert_eq!(
             plain,
             serial_res.to_json(),
@@ -1307,7 +1190,7 @@ mod tests {
         assert!(serial_rep.windows > 0, "monitor saw no window rollups");
         let serial_rep = serial_rep.to_json();
         for threads in [2usize, 8] {
-            let (res, rep) = run_fleet_monitored(&spec, &policy, threads, cfg.clone());
+            let (res, rep) = monitored(&spec, &policy, threads, cfg.clone());
             assert_eq!(plain, res.to_json(), "--threads {threads} result diverged");
             assert_eq!(
                 serial_rep,
@@ -1342,7 +1225,7 @@ mod tests {
         }];
         let cfg = MonitorConfig::with_slo(slo);
 
-        let (_, clean) = run_fleet_monitored(&spec, &policy, 1, cfg.clone());
+        let (_, clean) = monitored(&spec, &policy, 1, cfg.clone());
         assert!(clean.healthy, "fault-free baseline must be healthy");
         assert!(clean.alerts.is_empty());
         assert_eq!(clean.outcomes.iter().map(|o| o.violations).sum::<u64>(), 0);
@@ -1353,7 +1236,7 @@ mod tests {
             stall_duration_ns: 700_000_000,
             ..FaultPlan::none()
         };
-        let (_, faulted) = run_fleet_monitored(&spec, &policy, 1, cfg);
+        let (_, faulted) = monitored(&spec, &policy, 1, cfg);
         assert!(!faulted.healthy);
         assert!(
             !faulted.alerts.is_empty(),
@@ -1418,7 +1301,7 @@ mod tests {
         }];
         let cfg = MonitorConfig::with_slo(slo);
 
-        let (off_res, _) = run_fleet_monitored(&spec, &policy, 1, cfg.clone());
+        let (off_res, _) = monitored(&spec, &policy, 1, cfg.clone());
 
         spec.rtrace = TracePlan::sampled(0.05, 2, 7);
         let (on_res, mon) = run_fleet_monitored_full(&spec, &policy, 1, cfg.clone());
@@ -1501,12 +1384,99 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a serialized artifact: a compact, exact pin.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn overloaded_and_monitored_fleets_reproduce_pinned_anchors() {
+        // Exact anchors captured from the separate serial and parallel
+        // drivers before they were folded into one lockstep loop: the
+        // thread-identity tests above compare the driver with itself,
+        // these compare it with recorded bytes. Digests are FNV-1a of
+        // the result JSON and of the health report JSON.
+        use deeppower_telemetry::SloSpec;
+        let stalls = FaultPlan {
+            seed: 21,
+            stall_period_ns: 1_000_000_000,
+            stall_duration_ns: 300_000_000,
+            ..FaultPlan::none()
+        };
+        let mut overloaded = small_spec(4, BalancerPolicy::JoinShortestQueue);
+        overloaded.peak_load = 1.3;
+        overloaded.faults = stalls;
+        overloaded.overload = OverloadPlan {
+            seed: 9,
+            queue_capacity: 32,
+            client_timeout_ns: 5 * MILLISECOND,
+            retry_prob: 0.6,
+            max_attempts: 3,
+            retry_backoff_ns: 2 * MILLISECOND,
+            retry_jitter_ns: 500_000,
+            ..OverloadPlan::none()
+        };
+        let mut monitored = small_spec(4, BalancerPolicy::JoinShortestQueue);
+        monitored.faults = stalls;
+        let cfg = MonitorConfig::with_slo(SloSpec::for_sla_ns("masstree", MILLISECOND));
+        let policy = untrained_policy(App::Masstree, 13);
+        // (name, spec, result digest, health report digest, shed, energy bits)
+        let cases = [
+            (
+                "overloaded",
+                &overloaded,
+                0x9d58d457b01bd6b2,
+                0xc35a0547d08beae9,
+                766503,
+                0x4091b7c6bbdfa0fa,
+            ),
+            (
+                "monitored",
+                &monitored,
+                0x8dd6fb6272668f57,
+                0x15370980b379bf70,
+                0,
+                0x407d252ed702cf3c,
+            ),
+        ];
+        for (name, spec, result_fnv, report_fnv, shed, energy_bits) in cases {
+            for threads in [1usize, 2, 8] {
+                let res = run_fleet_threaded(spec, &policy, threads);
+                assert_eq!(res.total_shed, shed, "{name} --threads {threads}: shed");
+                assert_eq!(
+                    res.total_energy_j.to_bits(),
+                    energy_bits,
+                    "{name} --threads {threads}: energy"
+                );
+                let json = res.to_json();
+                assert_eq!(fnv(&json), result_fnv, "{name} --threads {threads}: result");
+                let (mres, mon) = run_fleet_monitored_full(spec, &policy, threads, cfg.clone());
+                assert_eq!(
+                    mres.to_json(),
+                    json,
+                    "{name} --threads {threads}: monitoring perturbed the result"
+                );
+                assert_eq!(
+                    fnv(&mon.finish().to_json()),
+                    report_fnv,
+                    "{name} --threads {threads}: health report"
+                );
+            }
+        }
+    }
+
     #[test]
     fn per_node_recorders_capture_disjoint_streams() {
         let spec = small_spec(2, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 9);
         let recs = vec![Recorder::ring(1 << 14), Recorder::ring(1 << 14)];
-        let res = run_fleet_recorded(&spec, &policy, &recs);
+        let obs = FleetObs {
+            sinks: NodeSinks::Recorders(&recs),
+            ..FleetObs::off()
+        };
+        let res = run_fleet_with(&spec, &[&policy], 1, obs).0;
         let events: Vec<_> = recs.iter().map(|r| r.drain_events()).collect();
         assert!(
             events.iter().all(|e| !e.is_empty()),

@@ -1090,8 +1090,7 @@ pub fn fleet_grid(
 /// The budget splits across two levels: when there are fewer jobs than
 /// threads, the leftover cores go *inside* each fleet via
 /// [`deeppower_fleet::run_fleet_threaded`] (whose results are themselves
-/// byte-identical to the serial driver at any intra-fleet thread
-/// count). A 16-core host running a 2-cell grid therefore drives each
+/// byte-identical at any intra-fleet thread count). A 16-core host running a 2-cell grid therefore drives each
 /// fleet with 8 worker threads instead of idling 14 cores.
 pub fn run_fleet_grid(jobs: &[FleetJobSpec], threads: usize) -> Vec<FleetResult> {
     let threads = if threads == 0 {

@@ -183,7 +183,7 @@ pub struct Profiler {
 
 impl Profiler {
     /// A profiler that records nothing: every operation is one branch.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Self { inner: None }
     }
 
