@@ -325,7 +325,7 @@ mod tests {
             work_ref_ns: 5_000_000,
             freq_sensitivity: 1.0,
             sla: 8_000_000,
-            features: vec![0.5],
+            features: 0.5.into(),
         };
         let res = server.run(
             &[req],

@@ -46,7 +46,7 @@ impl<G: Governor> Governor for RecordingGovernor<G> {
         req: &Request,
         cmds: &mut FreqCommands,
     ) {
-        self.starts[core_id] = Some((view.now, req.features.clone()));
+        self.starts[core_id] = Some((view.now, req.features.to_vec()));
         self.inner.on_request_start(view, core_id, req, cmds);
     }
 

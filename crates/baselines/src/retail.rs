@@ -164,9 +164,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: budget_ms * MILLISECOND,
-            features: vec![feat],
+            features: feat.into(),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let queue = std::collections::VecDeque::new();
         let view = ServerView {
             now: 0,
@@ -233,9 +233,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: 8 * MILLISECOND,
-            features: vec![0.2],
+            features: 0.2.into(),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let empty = std::collections::VecDeque::new();
         let mut crowded = std::collections::VecDeque::new();
         for i in 0..400 {
@@ -248,7 +248,7 @@ mod tests {
                 work_ref_ns: 0,
                 freq_sensitivity: 1.0,
                 sla: 8 * MILLISECOND,
-                features: vec![1.0],
+                features: 1.0.into(),
             });
         }
         let view_of = |q| ServerView {
@@ -283,9 +283,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: 8 * MILLISECOND,
-            features: vec![3.0],
+            features: 3.0.into(),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let queue = std::collections::VecDeque::new();
         // The request has been queued for almost its whole SLA.
         let view = ServerView {

@@ -157,7 +157,7 @@ mod tests {
         let rubik = RubikGovernor::train(&samples, plan.clone(), RubikConfig::default());
         let retail = RetailGovernor::train(&samples, plan, RetailConfig::default());
 
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let queue = std::collections::VecDeque::new();
         // 3 ms of budget left out of the 8 ms SLA.
         let view = ServerView {
@@ -180,7 +180,7 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: 8_000_000,
-            features: vec![0.3], // well below the mean size
+            features: 0.3.into(), // well below the mean size
         };
         let f_rubik = rubik.select_freq(&view, &short_req);
         let f_retail = retail_freq(&retail, &view, &short_req);
@@ -190,8 +190,8 @@ mod tests {
         );
         // And Rubik treats *every* request identically (feature-free).
         let long_req = deeppower_simd_server::Request {
-            features: vec![4.0],
-            ..short_req.clone()
+            features: 4.0.into(),
+            ..short_req
         };
         assert_eq!(rubik.select_freq(&view, &long_req), f_rubik);
     }

@@ -75,10 +75,10 @@ fn main() {
     let running = RunningView {
         arrival: 0,
         started: 0,
-        features: &[],
+        features: Default::default(),
         sla: 8_000_000,
     };
-    let cores: Vec<CoreView<'_>> = (0..20)
+    let cores: Vec<CoreView> = (0..20)
         .map(|_| CoreView {
             freq_mhz: 1500,
             running: Some(running),

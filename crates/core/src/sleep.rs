@@ -139,7 +139,7 @@ mod tests {
                 work_ref_ns: MILLISECOND,
                 freq_sensitivity: 1.0,
                 sla: 50 * MILLISECOND,
-                features: vec![],
+                features: Default::default(),
             })
             .collect()
     }

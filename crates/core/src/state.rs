@@ -111,14 +111,14 @@ mod tests {
             work_ref_ns: 1,
             freq_sensitivity: 1.0,
             sla,
-            features: vec![],
+            features: Default::default(),
         }
     }
 
     fn view<'a>(
         now: Nanos,
         queue: &'a VecDeque<Request>,
-        cores: &'a [CoreView<'a>],
+        cores: &'a [CoreView],
         arrived: u64,
     ) -> ServerView<'a> {
         ServerView {
@@ -143,7 +143,7 @@ mod tests {
         };
         let mut obs = StateObserver::new(norm);
         let q = VecDeque::new();
-        let cores: [CoreView<'_>; 0] = [];
+        let cores: [CoreView; 0] = [];
         let s1 = obs.observe(&view(0, &q, &cores, 50));
         assert!((s1[0] - 0.5).abs() < 1e-6);
         let s2 = obs.observe(&view(0, &q, &cores, 80));
@@ -170,7 +170,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let cores: [CoreView<'_>; 0] = [];
+        let cores: [CoreView; 0] = [];
         let s = obs.observe(&view(now, &q, &cores, 0));
         assert!((s[1] - 0.3).abs() < 1e-6, "QueueLen {}", s[1]);
         assert!((s[2] - 0.1).abs() < 1e-6, "Queue25 {}", s[2]);
@@ -192,7 +192,7 @@ mod tests {
         let running = RunningView {
             arrival: 0,
             started: MILLISECOND,
-            features: &[],
+            features: Default::default(),
             sla,
         };
         let cores = [
@@ -222,7 +222,7 @@ mod tests {
         let sla = MILLISECOND;
         // Arrived 5 ms ago with 1 ms SLA: budget saturates to 0.
         let q: VecDeque<Request> = [queued(0, sla)].into_iter().collect();
-        let cores: [CoreView<'_>; 0] = [];
+        let cores: [CoreView; 0] = [];
         let s = obs.observe(&view(5 * MILLISECOND, &q, &cores, 0));
         assert!(s.iter().all(|&x| x.is_finite() && x >= 0.0));
         assert!(s[2] > 0.0, "overdue request must land in the <25% bucket");
@@ -238,7 +238,7 @@ mod tests {
         let mut obs = StateObserver::new(norm);
         let sla = MILLISECOND;
         let q: VecDeque<Request> = (0..50).map(|_| queued(0, sla)).collect();
-        let cores: [CoreView<'_>; 0] = [];
+        let cores: [CoreView; 0] = [];
         let s = obs.observe(&view(2 * MILLISECOND, &q, &cores, 1_000_000));
         assert!(s.iter().all(|&x| x <= 2.0));
     }
@@ -247,7 +247,7 @@ mod tests {
     fn reset_restores_arrival_baseline() {
         let mut obs = StateObserver::new(StateNorm::default());
         let q = VecDeque::new();
-        let cores: [CoreView<'_>; 0] = [];
+        let cores: [CoreView; 0] = [];
         let _ = obs.observe(&view(0, &q, &cores, 500));
         obs.reset();
         let s = obs.observe(&view(0, &q, &cores, 500));

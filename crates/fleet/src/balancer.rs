@@ -178,11 +178,14 @@ pub fn split_arrivals(
         .iter()
         .map(|&c| BacklogModel::new(c, max_drain))
         .collect();
+    let mut ties = Vec::with_capacity(nodes);
 
     for (i, req) in arrivals.iter().enumerate() {
         let target = match policy {
             BalancerPolicy::RoundRobin => i % nodes,
-            BalancerPolicy::JoinShortestQueue => argmin_effective(&mut models, req.arrival, i),
+            BalancerPolicy::JoinShortestQueue => {
+                argmin_effective(&mut models, req.arrival, i, &mut ties)
+            }
             BalancerPolicy::PowerAware => {
                 // Pack onto the most loaded node that still has headroom:
                 // adding to a node already more than SLA/2 behind risks
@@ -207,12 +210,12 @@ pub fn split_arrivals(
                 }
                 match best {
                     Some((k, _)) => k,
-                    None => argmin_effective(&mut models, req.arrival, i),
+                    None => argmin_effective(&mut models, req.arrival, i, &mut ties),
                 }
             }
         };
         models[target].work_ref_ns += req.work_ref_ns as f64;
-        streams[target].push(req.clone());
+        streams[target].push(*req);
     }
     streams
 }
@@ -223,9 +226,15 @@ pub fn split_arrivals(
 /// under lowest-index tie-breaking each new burst's head would land on
 /// node 0 every time — at N ≥ 32 that low-index bias is the dominant
 /// routing signal. Rotation keeps the choice a pure function of
-/// `(trace, capacities, policy)`, so determinism is untouched.
-fn argmin_effective(models: &mut [BacklogModel], now: u64, req_index: usize) -> usize {
-    let mut ties: Vec<usize> = Vec::with_capacity(4);
+/// `(trace, capacities, policy)`, so determinism is untouched. `ties`
+/// is the caller's scratch buffer, reused across decisions.
+fn argmin_effective(
+    models: &mut [BacklogModel],
+    now: u64,
+    req_index: usize,
+    ties: &mut Vec<usize>,
+) -> usize {
+    ties.clear();
     let mut best_out = f64::INFINITY;
     for (k, m) in models.iter_mut().enumerate() {
         let out = m.effective_at(now);
@@ -254,7 +263,7 @@ mod tests {
             work_ref_ns: work,
             freq_sensitivity: 1.0,
             sla: 10_000_000,
-            features: vec![],
+            features: Default::default(),
         }
     }
 
@@ -425,6 +434,79 @@ mod tests {
         let streams = split_arrivals(&arrivals, &caps, BalancerPolicy::PowerAware);
         assert_eq!(streams[0].iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(streams[1].iter().map(|r| r.id).collect::<Vec<_>>(), [2]);
+    }
+
+    /// FNV-1a over every field of every routed request, node by node,
+    /// with each stream's length as a separator.
+    fn digest(streams: &[Vec<Request>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for s in streams {
+            eat(s.len() as u64);
+            for r in s {
+                let fields = [
+                    r.id,
+                    r.client_id,
+                    u64::from(r.attempt),
+                    r.arrival,
+                    r.first_arrival,
+                    r.work_ref_ns,
+                    r.sla,
+                    u64::from(r.freq_sensitivity.to_bits()),
+                    r.features.len() as u64,
+                ];
+                let features = r.features.iter().map(|f| u64::from(f.to_bits()));
+                fields.into_iter().chain(features).for_each(&mut eat);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn split_reproduces_pinned_digests() {
+        // Exact anchors captured while requests still carried a heap
+        // feature vector: moving requests by copy instead of clone, and
+        // JSQ's tie list into a reused buffer, must route identically.
+        let spec = crate::FleetSpec::uniform(
+            deeppower_workload::App::Masstree,
+            4,
+            BalancerPolicy::RoundRobin,
+            11,
+            0.9,
+            3,
+        );
+        let arrivals = crate::fleet_arrivals(&spec);
+        let uniform = spec.capacities();
+        let mixed = [
+            NodeCapacity::uniform(2),
+            NodeCapacity {
+                cores: 8,
+                floor_mhz: 1200,
+            },
+            NodeCapacity::uniform(4),
+            NodeCapacity {
+                cores: 1,
+                floor_mhz: 600,
+            },
+        ];
+        let [rr, jsq, pack] = BalancerPolicy::all();
+        let cases = [
+            (rr, &uniform[..], 0x27d49c16a960a576),
+            (rr, &mixed[..], 0x27d49c16a960a576),
+            (jsq, &uniform[..], 0xde6d9e8ab66a53b2),
+            (jsq, &mixed[..], 0x125b21a19204f399),
+            (pack, &uniform[..], 0x01e3b8b8c855bda8),
+            (pack, &mixed[..], 0x0b0af0b72dc8aeb1),
+        ];
+        for (policy, caps, want) in cases {
+            let streams = split_arrivals(&arrivals, caps, policy);
+            let got = digest(&streams);
+            assert_eq!(got, want, "{policy:?} on {caps:?}");
+        }
     }
 
     mod proptests {

@@ -113,7 +113,7 @@ mod proptests {
                     work_ref_ns: 1000,
                     freq_sensitivity: 1.0,
                     sla: 10_000_000,
-                    features: vec![],
+                    features: Default::default(),
                 })
                 .collect();
             let caps = vec![NodeCapacity::uniform(1); nodes];

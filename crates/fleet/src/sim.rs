@@ -424,14 +424,15 @@ pub fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetRes
 ///   land on workers.
 ///
 /// Profiler spans (per-thread span stacks, so worker-side `engine.*`
-/// spans never interleave across nodes): `fleet.balance` covers the
-/// arrival split, once up front; `fleet.batch_act` covers the leader's
-/// inference pass alone, once per epoch — observing the nodes and
-/// writing their params run on the workers outside it; `fleet.advance`
-/// is one span per worker per epoch, and the node sessions' `engine.*`
-/// spans nest inside; `fleet.merge` opens on the leader when the loop
-/// ends and covers finishing its nodes, joining the other workers and
-/// the percentile merge.
+/// spans never interleave across nodes): `workload.arrivals` covers
+/// generating the fleet-level arrival stream and `fleet.balance` its
+/// split into per-node streams, each once up front; `fleet.batch_act`
+/// covers the leader's inference pass alone, once per epoch —
+/// observing the nodes and writing their params run on the workers
+/// outside it; `fleet.advance` is one span per worker per epoch, and
+/// the node sessions' `engine.*` spans nest inside; `fleet.merge`
+/// opens on the leader when the loop ends and covers finishing its
+/// nodes, joining the other workers and the percentile merge.
 pub fn run_fleet_with(
     spec: &FleetSpec,
     policies: &[&TrainedPolicy],
@@ -551,10 +552,14 @@ fn drive(
     };
     let prof = obs.prof;
     let servers: Vec<Server> = spec.group_configs().into_iter().map(Server::new).collect();
-    let sp = prof.span("fleet.balance");
+    let sp = prof.span("workload.arrivals");
     let arrivals = fleet_arrivals(spec);
+    drop(sp);
+    let sp = prof.span("fleet.balance");
     let streams = split_arrivals(&arrivals, &spec.capacities(), spec.balancer);
     drop(sp);
+    // The per-node streams own copies of every request from here on.
+    drop(arrivals);
 
     let lead = policies[0];
     let ls = Lockstep {
@@ -737,7 +742,8 @@ fn assemble(
     results: Vec<SimResult>,
 ) -> FleetResult {
     let ms = |ns: u64| ns as f64 / MILLISECOND as f64;
-    let mut merged: Vec<RequestRecord> = Vec::new();
+    let mut merged: Vec<RequestRecord> =
+        Vec::with_capacity(results.iter().map(|sim| sim.records.len()).sum());
     let mut per_node = Vec::with_capacity(results.len());
     let mut total_energy_j = 0.0;
     let mut total_power_w = 0.0;
@@ -879,6 +885,7 @@ mod tests {
 
         let rows = prof.phase_table();
         let count = |n: &str| rows.iter().find(|r| r.name == n).map_or(0, |r| r.count);
+        assert_eq!(count("workload.arrivals"), 1);
         assert_eq!(count("fleet.balance"), 1);
         assert_eq!(count("fleet.merge"), 1);
         assert!(count("fleet.batch_act") > 0);
@@ -1114,6 +1121,7 @@ mod tests {
         assert_eq!(plain, profiled, "profiling perturbed the parallel fleet");
         let rows = prof.phase_table();
         let count = |n: &str| rows.iter().find(|r| r.name == n).map_or(0, |r| r.count);
+        assert_eq!(count("workload.arrivals"), 1);
         assert_eq!(count("fleet.balance"), 1);
         assert_eq!(count("fleet.merge"), 1);
         assert!(count("fleet.batch_act") > 0);

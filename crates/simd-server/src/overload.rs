@@ -32,7 +32,7 @@
 //! perturbs nothing.
 
 use crate::clock::Nanos;
-use crate::request::Request;
+use crate::request::{Features, Request};
 use deeppower_telemetry::{event, Event, Recorder, RequestTracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -351,7 +351,7 @@ impl AdmissionController for DrlAdmission {
 }
 
 /// Everything a client needs to resubmit an attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct RetryTemplate {
     client: u64,
     attempt: u32,
@@ -359,7 +359,7 @@ struct RetryTemplate {
     work_ref_ns: Nanos,
     freq_sensitivity: f32,
     sla: Nanos,
-    features: Vec<f32>,
+    features: Features,
 }
 
 impl RetryTemplate {
@@ -371,7 +371,7 @@ impl RetryTemplate {
             work_ref_ns: req.work_ref_ns,
             freq_sensitivity: req.freq_sensitivity,
             sla: req.sla,
-            features: req.features.clone(),
+            features: req.features,
         }
     }
 }
@@ -716,8 +716,7 @@ impl OverloadState {
             id,
             template: RetryTemplate {
                 attempt: template.attempt + 1,
-                features: template.features.clone(),
-                ..template.clone()
+                ..*template
             },
         }));
     }
@@ -738,7 +737,7 @@ mod tests {
             work_ref_ns: MILLISECOND,
             freq_sensitivity: 1.0,
             sla: 10 * MILLISECOND,
-            features: vec![],
+            features: Default::default(),
         }
     }
 

@@ -1,7 +1,73 @@
 //! Requests.
 
 use crate::clock::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
+use std::fmt;
+use std::ops::Deref;
+
+/// Inline feature slots per request. Every generator emits at most one
+/// feature (the input-size proxy), so one slot keeps [`Request`] a
+/// fixed-size `Copy` value with no heap block.
+const FEATURE_SLOTS: usize = 1;
+
+/// A request's observable features, stored inline. Reads as a `&[f32]`
+/// (through `Deref`) and serializes as a plain JSON list, exactly like
+/// the `Vec<f32>` it replaces. Unused slots stay `0.0`, so the derived
+/// equality compares only the features present.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub struct Features {
+    len: u8,
+    vals: [f32; FEATURE_SLOTS],
+}
+
+impl Features {
+    /// Inline slot count: the most features a request can carry.
+    pub const fn capacity(&self) -> usize {
+        FEATURE_SLOTS
+    }
+}
+
+impl From<f32> for Features {
+    fn from(x: f32) -> Self {
+        Self { len: 1, vals: [x] }
+    }
+}
+
+impl Deref for Features {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.vals[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Features {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Features {
+    fn serialize_value(&self) -> Value {
+        self[..].serialize_value()
+    }
+}
+
+impl Deserialize for Features {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let xs = Vec::<f32>::deserialize_value(value)?;
+        if xs.len() > FEATURE_SLOTS {
+            return Err(Error::custom(format!(
+                "a request carries at most {FEATURE_SLOTS} feature(s), got {}",
+                xs.len()
+            )));
+        }
+        let mut f = Self::default();
+        f.vals[..xs.len()].copy_from_slice(&xs);
+        f.len = xs.len() as u8;
+        Ok(f)
+    }
+}
 
 /// One client request as seen by the server.
 ///
@@ -10,7 +76,7 @@ use serde::{Deserialize, Serialize};
 /// Actual processing time depends on the core frequency (through
 /// `freq_sensitivity`) and on contention from sibling cores — both applied
 /// by the engine, never baked into the request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Monotonically increasing id (assigned by the workload generator).
     /// Unique per *attempt*: a retry gets a fresh server id.
@@ -36,8 +102,16 @@ pub struct Request {
     /// Observable features (e.g. input size, request type) — the inputs the
     /// service-time predictors of ReTail/Gemini are allowed to see. The
     /// true `work_ref_ns` is *not* observable.
-    pub features: Vec<f32>,
+    pub features: Features,
 }
+
+// A request moves by plain copy from generation to completion: keep it
+// `Copy` and within one 64-byte cache line.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Request>();
+    assert!(std::mem::size_of::<Request>() <= 64);
+};
 
 impl Request {
     /// When the *client* submitted this logical request: the first
@@ -87,6 +161,24 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn features_read_and_serialize_like_the_vec_they_replace() {
+        let empty = Features::default();
+        assert!(empty.is_empty());
+        assert_eq!(&empty[..], &[] as &[f32]);
+        let one = Features::from(0.25);
+        assert_eq!(&one[..], &[0.25]);
+        assert_eq!(one.capacity(), 1);
+        assert_eq!(format!("{one:?}"), format!("{:?}", vec![0.25f32]));
+        for (f, v) in [(empty, vec![]), (one, vec![0.25f32])] {
+            let json = serde_json::to_string(&f).unwrap();
+            assert_eq!(json, serde_json::to_string(&v).unwrap());
+            assert_eq!(serde_json::from_str::<Features>(&json).unwrap(), f);
+        }
+        let err = serde_json::from_str::<Features>("[1.0, 2.0]").unwrap_err();
+        assert!(err.to_string().contains("at most 1"), "{err}");
+    }
 
     #[test]
     fn fully_sensitive_work_scales_inversely_with_frequency() {

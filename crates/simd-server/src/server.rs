@@ -411,6 +411,7 @@ impl Server {
                     sleep: None,
                 })
                 .collect(),
+            core_views: Vec::with_capacity(n),
             queue: VecDeque::new(),
             metrics: MetricsCollector::new(),
             energy: EnergyMeter::new(),
@@ -461,6 +462,9 @@ pub struct Session<'a> {
     rec: &'a Recorder,
     prof: Profiler,
     cores: Vec<CoreState>,
+    /// The governor's per-core view, rebuilt in place before each
+    /// dispatch, tick and run-end hook.
+    core_views: Vec<CoreView>,
     /// The server queue. Unbounded by default — which silently encodes
     /// the paper's *open-loop* assumption: offered load never reacts to
     /// server state, every arrival is eventually served, and the only
@@ -591,7 +595,8 @@ impl Session<'_> {
     /// governor sees (unperturbed sensors). The driver-side window into
     /// a node between epochs.
     pub fn with_view<T>(&self, f: impl FnOnce(&ServerView<'_>) -> T) -> T {
-        let views = build_core_views(&self.cores, self.now);
+        let mut views = Vec::with_capacity(self.cores.len());
+        build_core_views(&self.cores, &mut views);
         let view = make_view(
             self.now,
             &self.queue,
@@ -686,23 +691,22 @@ impl Session<'_> {
         // (due-time, schedule-order) order.
         let sp = self.prof.span("engine.arrivals");
         while self.arr_idx < self.arrivals.len() && self.arrivals[self.arr_idx].arrival <= now {
-            let req = self.arrivals[self.arr_idx].clone();
+            let req = self.arrivals[self.arr_idx];
             self.arr_idx += 1;
             let clones = self.overload.burst_clones(req.arrival);
-            let template = if clones > 0 { Some(req.clone()) } else { None };
             self.offer(now, req);
-            if let Some(t) = template {
-                for _ in 0..clones {
-                    // A burst clone is a *new* client issuing the same
-                    // request shape, not a retry of the original.
-                    let id = self.overload.alloc_synth_id();
-                    let mut clone = t.clone();
-                    clone.id = id;
-                    clone.client_id = id;
-                    clone.attempt = 0;
-                    clone.first_arrival = t.arrival;
-                    self.offer(now, clone);
-                }
+            for _ in 0..clones {
+                // A burst clone is a *new* client issuing the same
+                // request shape, not a retry of the original.
+                let id = self.overload.alloc_synth_id();
+                let clone = Request {
+                    id,
+                    client_id: id,
+                    attempt: 0,
+                    first_arrival: req.arrival,
+                    ..req
+                };
+                self.offer(now, clone);
             }
         }
         while let Some(retry) = self.overload.pop_due_retry(now) {
@@ -732,11 +736,11 @@ impl Session<'_> {
                 self.queue.pop_front().unwrap()
             };
             {
-                let views = build_core_views(&self.cores, now);
+                build_core_views(&self.cores, &mut self.core_views);
                 let view = make_view(
                     now,
                     &self.queue,
-                    &views,
+                    &self.core_views,
                     &self.metrics,
                     &self.energy,
                     &self.overload,
@@ -814,8 +818,8 @@ impl Session<'_> {
                     },
                     self.rec,
                 );
-                let views = build_core_views(&self.cores, now);
-                let view = make_view_with(now, &self.queue, &views, reading);
+                build_core_views(&self.cores, &mut self.core_views);
+                let view = make_view_with(now, &self.queue, &self.core_views, reading);
                 self.governor.on_tick(&view, &mut self.cmds);
             }
             apply_commands(
@@ -888,11 +892,11 @@ impl Session<'_> {
             // their last window and may train here), so it gets its own
             // span — DDPG stage spans must never be roots.
             let _sp = self.prof.span("engine.finish");
-            let views = build_core_views(&self.cores, now);
+            build_core_views(&self.cores, &mut self.core_views);
             let view = make_view(
                 now,
                 &self.queue,
-                &views,
+                &self.core_views,
                 &self.metrics,
                 &self.energy,
                 &self.overload,
@@ -1028,20 +1032,19 @@ impl Session<'_> {
     }
 }
 
-fn build_core_views(cores: &[CoreState], _now: Nanos) -> Vec<CoreView<'_>> {
-    cores
-        .iter()
-        .map(|c| CoreView {
-            freq_mhz: c.freq_mhz,
-            running: c.running.as_ref().map(|r| RunningView {
-                arrival: r.req.arrival,
-                started: r.started,
-                features: &r.req.features,
-                sla: r.req.sla,
-            }),
-            sleeping: c.sleep,
-        })
-        .collect()
+/// Refill `out` with the governor's view of each core.
+fn build_core_views(cores: &[CoreState], out: &mut Vec<CoreView>) {
+    out.clear();
+    out.extend(cores.iter().map(|c| CoreView {
+        freq_mhz: c.freq_mhz,
+        running: c.running.as_ref().map(|r| RunningView {
+            arrival: r.req.arrival,
+            started: r.started,
+            features: r.req.features,
+            sla: r.req.sla,
+        }),
+        sleeping: c.sleep,
+    }));
 }
 
 /// Socket power with C-states: a sleeping core draws its state's residual
@@ -1062,7 +1065,7 @@ fn socket_power(cfg: &ServerConfig, cores: &[CoreState]) -> f64 {
 fn make_view<'a>(
     now: Nanos,
     queue: &'a VecDeque<Request>,
-    cores: &'a [CoreView<'a>],
+    cores: &'a [CoreView],
     metrics: &MetricsCollector,
     energy: &EnergyMeter,
     overload: &OverloadState,
@@ -1087,7 +1090,7 @@ fn make_view<'a>(
 fn make_view_with<'a>(
     now: Nanos,
     queue: &'a VecDeque<Request>,
-    cores: &'a [CoreView<'a>],
+    cores: &'a [CoreView],
     reading: SensorReading,
 ) -> ServerView<'a> {
     ServerView {
@@ -1266,7 +1269,7 @@ mod tests {
             work_ref_ns: work,
             freq_sensitivity: 1.0,
             sla: 10 * MILLISECOND,
-            features: vec![],
+            features: Default::default(),
         }
     }
 

@@ -199,7 +199,7 @@ impl AppSpec {
             work_ref_ns: work.max(1.0) as Nanos,
             freq_sensitivity: self.freq_sensitivity,
             sla: self.sla,
-            features: vec![size_feature],
+            features: size_feature.into(),
         }
     }
 }
