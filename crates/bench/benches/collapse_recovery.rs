@@ -84,15 +84,17 @@ fn run_arm(admission: AdmissionMode, admit_frac: f32, secs: u64) -> (SimResult, 
         slo,
     ))));
     let rec = Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(&monitor), 0)));
-    let sim = server.run_recorded(
-        &arrivals,
-        &mut gov,
-        RunOptions {
-            overload: storm_plan(admission, spec.sla),
-            ..Default::default()
-        },
-        &rec,
-    );
+    let sim = server
+        .session(
+            &arrivals,
+            &mut gov,
+            RunOptions {
+                overload: storm_plan(admission, spec.sla),
+                ..Default::default()
+            },
+            &rec,
+        )
+        .finish();
     let health = monitor.borrow().finish();
     (sim, health)
 }

@@ -53,16 +53,18 @@ fn main() {
     // One core x 1 ms ticks x 2 s => at most ~2k transitions, plus two
     // marks per request; 1 << 14 leaves ample headroom.
     let rec = Recorder::ring(1 << 14);
-    let _res = server.run_recorded(
-        &arrivals,
-        &mut gov,
-        RunOptions {
-            tick_ns: MILLISECOND,
-            trace: TraceConfig::millisecond(),
-            ..Default::default()
-        },
-        &rec,
-    );
+    let _res = server
+        .session(
+            &arrivals,
+            &mut gov,
+            RunOptions {
+                tick_ns: MILLISECOND,
+                trace: TraceConfig::millisecond(),
+                ..Default::default()
+            },
+            &rec,
+        )
+        .finish();
     let events = rec.drain_events();
     assert_eq!(rec.dropped_events(), 0, "event ring must not overflow");
 

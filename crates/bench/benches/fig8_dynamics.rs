@@ -15,9 +15,9 @@
 //! never drift apart.
 
 use deeppower_bench::{default_trained_policy, downsample, sparkline, Scale};
-use deeppower_core::evaluate_recorded;
+use deeppower_core::evaluate_profiled;
 use deeppower_simd_server::TraceConfig;
-use deeppower_telemetry::{Event, Recorder};
+use deeppower_telemetry::{Event, Profiler, Recorder};
 use deeppower_workload::App;
 
 fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
@@ -34,13 +34,14 @@ fn main() {
     let scale = Scale::from_env();
     let policy = default_trained_policy(App::Xapian, scale);
     let rec = Recorder::ring(1 << 16);
-    let eval = evaluate_recorded(
+    let eval = evaluate_profiled(
         &policy,
         deeppower_core::train::default_peak_load(App::Xapian),
         scale.eval_s,
         999,
         TraceConfig::default(),
         &rec,
+        &Profiler::disabled(),
     );
     let steps: Vec<_> = rec
         .drain_events()

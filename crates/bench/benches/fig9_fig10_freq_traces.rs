@@ -49,7 +49,7 @@ fn run_traced(
     window_s: u64,
 ) -> PolicyTrace {
     let rec = Recorder::ring(1 << 20);
-    let res = server.run_recorded(arrivals, gov, opts, &rec);
+    let res = server.session(arrivals, gov, opts, &rec).finish();
     let events = rec.drain_events();
     assert_eq!(rec.dropped_events(), 0, "event ring must not overflow");
 

@@ -14,17 +14,29 @@ use deeppower_drl::{Ddpg, DdpgConfig, Ddqn, Dqn, DqnConfig, Sac, SacConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    // Warm up, then measure a tight loop.
-    for _ in 0..1_000 {
-        f();
+/// Per-call time in ns of each closure. After a warm-up, the closures
+/// run `ROUNDS` rounds of `ITERS` calls each, interleaved, so a change in
+/// host speed during the run hits every column alike; each column keeps
+/// its fastest round.
+fn time_ns<const N: usize>(mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    const ROUNDS: u32 = 20;
+    const ITERS: u32 = 2_500;
+    for f in fs.iter_mut() {
+        for _ in 0..1_000 {
+            f();
+        }
     }
-    let iters = 50_000u32;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..ROUNDS {
+        for (f, best) in fs.iter_mut().zip(best.iter_mut()) {
+            let t0 = Instant::now();
+            for _ in 0..ITERS {
+                f();
+            }
+            *best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
+        }
     }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    best
 }
 
 fn main() {
@@ -48,24 +60,25 @@ fn main() {
     let mut sac = Sac::new(SacConfig {
         state_dim: 8,
         action_dim: 2,
-        warmup: 0,
         ..Default::default()
     });
 
-    let t_dqn = time_ns(|| {
-        black_box(dqn.act(black_box(&state)));
-    });
-    let t_ddqn = time_ns(|| {
-        black_box(ddqn.act(black_box(&state)));
-    });
-    let t_ddpg = time_ns(|| {
-        black_box(ddpg.act(black_box(&state)));
-    });
     // SAC's stochastic action (sampling + tanh-squash + log-prob machinery)
     // is the path the paper's 472 µs reflects.
-    let t_sac = time_ns(|| {
-        black_box(sac.act_explore(black_box(&state)));
-    });
+    let [t_dqn, t_ddqn, t_ddpg, t_sac] = time_ns([
+        &mut || {
+            black_box(dqn.act(black_box(&state)));
+        },
+        &mut || {
+            black_box(ddqn.act(black_box(&state)));
+        },
+        &mut || {
+            black_box(ddpg.act(black_box(&state)));
+        },
+        &mut || {
+            black_box(sac.act_explore(black_box(&state)));
+        },
+    ]);
 
     println!("# Table 2 — inference time of each DRL algorithm\n");
     println!(

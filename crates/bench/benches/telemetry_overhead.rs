@@ -1,7 +1,7 @@
 //! Telemetry overhead — cost of the recorder on the hot simulation loop.
 //!
 //! The acceptance bar for the telemetry layer: running the server
-//! through `run_recorded` with a *disabled* recorder, with one backed
+//! through `Server::session` with a *disabled* recorder, with one backed
 //! by the no-op sink, or with a [`MonitorSink`] feeding a *disabled*
 //! health monitor, must cost within 2% of the plain `run` path. A
 //! disabled recorder is a single `Option` branch per emission site;
@@ -69,18 +69,24 @@ fn main() {
 
     let (t_plain, r_plain) = min_wall_s(repeats, || server.run(&arrivals, &mut gov(), opts));
     let (t_disabled, r_disabled) = min_wall_s(repeats, || {
-        server.run_recorded(&arrivals, &mut gov(), opts, &Recorder::disabled())
+        server
+            .session(&arrivals, &mut gov(), opts, &Recorder::disabled())
+            .finish()
     });
     let (t_noop, r_noop) = min_wall_s(repeats, || {
-        server.run_recorded(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::with_sink(Box::new(NoopSink)),
-        )
+        server
+            .session(
+                &arrivals,
+                &mut gov(),
+                opts,
+                &Recorder::with_sink(Box::new(NoopSink)),
+            )
+            .finish()
     });
     let (t_ring, r_ring) = min_wall_s(repeats, || {
-        server.run_recorded(&arrivals, &mut gov(), opts, &Recorder::ring(1 << 16))
+        server
+            .session(&arrivals, &mut gov(), opts, &Recorder::ring(1 << 16))
+            .finish()
     });
     // The health monitor holds the same contract: a disabled monitor
     // behind a `MonitorSink` discards every event after one branch, so
@@ -88,21 +94,25 @@ fn main() {
     // and runs the SLO machine (reported, not asserted).
     let (t_mon_off, r_mon_off) = min_wall_s(repeats, || {
         let mon = Rc::new(RefCell::new(FleetMonitor::disabled()));
-        server.run_recorded(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::with_sink(Box::new(MonitorSink::new(mon, 0))),
-        )
+        server
+            .session(
+                &arrivals,
+                &mut gov(),
+                opts,
+                &Recorder::with_sink(Box::new(MonitorSink::new(mon, 0))),
+            )
+            .finish()
     });
     let (t_mon_on, r_mon_on) = min_wall_s(repeats, || {
         let mon = Rc::new(RefCell::new(FleetMonitor::new(MonitorConfig::default())));
-        server.run_recorded(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::with_sink(Box::new(MonitorSink::new(mon, 0))),
-        )
+        server
+            .session(
+                &arrivals,
+                &mut gov(),
+                opts,
+                &Recorder::with_sink(Box::new(MonitorSink::new(mon, 0))),
+            )
+            .finish()
     });
     // Request-lifecycle tracing holds the contract at two levels: an
     // active plan behind a *disabled* recorder never builds a tracer
@@ -115,35 +125,33 @@ fn main() {
         ..opts
     };
     let (t_trace_off, r_trace_off) = min_wall_s(repeats, || {
-        server.run_recorded(&arrivals, &mut gov(), traced_opts, &Recorder::disabled())
+        server
+            .session(&arrivals, &mut gov(), traced_opts, &Recorder::disabled())
+            .finish()
     });
     let (t_trace_1pct, r_trace_1pct) = min_wall_s(repeats, || {
-        server.run_recorded(
-            &arrivals,
-            &mut gov(),
-            traced_opts,
-            &Recorder::with_sink(Box::new(NoopSink)),
-        )
+        server
+            .session(
+                &arrivals,
+                &mut gov(),
+                traced_opts,
+                &Recorder::with_sink(Box::new(NoopSink)),
+            )
+            .finish()
     });
     // The span profiler holds the same contract as the recorder: when
     // disabled it is one `Option` branch per span site (open + drop).
     let (t_prof_off, r_prof_off) = min_wall_s(repeats, || {
-        server.run_profiled(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::disabled(),
-            &Profiler::disabled(),
-        )
+        server
+            .session(&arrivals, &mut gov(), opts, &Recorder::disabled())
+            .with_profiler(&Profiler::disabled())
+            .finish()
     });
     let (t_prof_on, r_prof_on) = min_wall_s(repeats, || {
-        server.run_profiled(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::disabled(),
-            &Profiler::enabled(),
-        )
+        server
+            .session(&arrivals, &mut gov(), opts, &Recorder::disabled())
+            .with_profiler(&Profiler::enabled())
+            .finish()
     });
 
     // Telemetry must never perturb the simulation.

@@ -25,16 +25,16 @@
 use deeppower_core::train::default_peak_load;
 use deeppower_core::{
     action_surface, decisions_to_csv, decisions_to_jsonl, evaluate, evaluate_profiled,
-    evaluate_recorded, explain_decisions, mean_abs_saliency, surface_to_csv, train, train_profiled,
-    TrainConfig, TrainedPolicy, STATE_DIM_NAMES,
+    explain_decisions, mean_abs_saliency, surface_to_csv, train, train_profiled, TrainConfig,
+    TrainedPolicy, STATE_DIM_NAMES,
 };
 use deeppower_fleet::{
     run_fleet_monitored_full, run_fleet_with, BalancerPolicy, FleetObs, FleetSpec, NodeSinks,
 };
 use deeppower_harness::{
     calibrated_train_seed, fault_scenarios, fleet_grid, grid, overload_scenarios,
-    robustness_matrix_for, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios,
-    summarize, GovernorSpec, JobResult, WorkloadKind,
+    robustness_matrix, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios, summarize,
+    GovernorSpec, JobResult, JobSpec, WorkloadKind,
 };
 use deeppower_simd_server::{OverloadPlan, QueuePolicy, TraceConfig, MILLISECOND};
 use deeppower_telemetry::{
@@ -283,18 +283,23 @@ fn parse_list<T>(
         .collect()
 }
 
-/// Write one JSONL artifact per job into `dir`:
+/// Run the grid, plainly or — with `--telemetry DIR` — under per-job
+/// recorders, writing one JSONL artifact per job into `DIR`:
 /// `job-NNN-<app>-<governor>-seed<K>.jsonl`. Job index, app, governor
 /// and seed come from the (deterministically ordered) results, so the
 /// file set — names and bytes — is a pure function of the job specs.
-fn write_telemetry_artifacts(
-    dir: &str,
-    results: &[JobResult],
-    events: &[Vec<Event>],
+fn run_grid_flagged(
+    flags: &Flags,
+    jobs: &[JobSpec],
+    threads: usize,
     log: &Logger,
-) -> Result<(), String> {
+) -> Result<Vec<JobResult>, String> {
+    let Some(dir) = flags.get("telemetry") else {
+        return Ok(run_grid(jobs, threads));
+    };
+    let (results, events) = run_grid_telemetry(jobs, threads);
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    for (i, (r, ev)) in results.iter().zip(events).enumerate() {
+    for (i, (r, ev)) in results.iter().zip(&events).enumerate() {
         let path = Path::new(dir).join(format!(
             "job-{i:03}-{}-{}-seed{}.jsonl",
             r.app, r.governor, r.seed
@@ -306,7 +311,7 @@ fn write_telemetry_artifacts(
         "{} telemetry artifacts written to {dir}/",
         results.len()
     ));
-    Ok(())
+    Ok(results)
 }
 
 fn cmd_train(flags: &Flags, log: &Logger) -> Result<(), String> {
@@ -408,14 +413,7 @@ fn cmd_compare(flags: &Flags, log: &Logger) -> Result<(), String> {
         "comparing {} policies on {app:?} over {duration_s} s",
         jobs.len()
     ));
-    let results = match flags.get("telemetry") {
-        Some(dir) => {
-            let (results, events) = run_grid_telemetry(&jobs, threads);
-            write_telemetry_artifacts(dir, &results, &events, log)?;
-            results
-        }
-        None => run_grid(&jobs, threads),
-    };
+    let results = run_grid_flagged(flags, &jobs, threads, log)?;
 
     let base_power = results[0].avg_power_w;
     println!(
@@ -482,14 +480,7 @@ fn cmd_grid(flags: &Flags, log: &Logger) -> Result<(), String> {
         }
     ));
     let t0 = std::time::Instant::now();
-    let results = match flags.get("telemetry") {
-        Some(dir) => {
-            let (results, events) = run_grid_telemetry(&jobs, threads);
-            write_telemetry_artifacts(dir, &results, &events, log)?;
-            results
-        }
-        None => run_grid(&jobs, threads),
-    };
+    let results = run_grid_flagged(flags, &jobs, threads, log)?;
     let report = summarize(results);
     log.info(&format!("finished in {:.1} s", t0.elapsed().as_secs_f64()));
 
@@ -576,7 +567,7 @@ fn cmd_robustness(flags: &Flags, log: &Logger) -> Result<(), String> {
         scenarios.len()
     ));
     let t0 = std::time::Instant::now();
-    let report = robustness_matrix_for(
+    let report = robustness_matrix(
         &scenarios, app, &governors, true, seed, peak_load, duration_s, threads,
     );
     log.info(&format!("finished in {:.1} s", t0.elapsed().as_secs_f64()));
@@ -928,13 +919,14 @@ fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
         "tracing {:?} policy: {duration_s} s at peak load {peak:.2} (event capacity {capacity})",
         policy.app
     ));
-    let outcome = evaluate_recorded(
+    let outcome = evaluate_profiled(
         &policy,
         peak,
         duration_s,
         seed,
         TraceConfig::millisecond(),
         &rec,
+        &Profiler::disabled(),
     );
     let events = rec.drain_events();
     if rec.dropped_events() > 0 {
@@ -1326,14 +1318,7 @@ fn cmd_explain(flags: &Flags, log: &Logger) -> Result<(), String> {
         "explaining {:?} policy over a {duration_s} s evaluation at peak load {peak:.2}",
         policy.app
     ));
-    let outcome = evaluate_recorded(
-        &policy,
-        peak,
-        duration_s,
-        seed,
-        TraceConfig::default(),
-        &Recorder::disabled(),
-    );
+    let outcome = evaluate(&policy, peak, duration_s, seed, TraceConfig::default());
     if outcome.log.is_empty() {
         return Err("evaluation produced no DRL decisions — nothing to explain".into());
     }

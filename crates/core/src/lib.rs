@@ -59,6 +59,6 @@ pub use sleep::{SleepAware, SleepPolicy};
 pub use state::{StateObserver, STATE_DIM};
 pub use thread_controller::{ControllerParams, ThreadController};
 pub use train::{
-    evaluate, evaluate_profiled, evaluate_recorded, train, train_profiled, train_recorded,
-    EvalOutcome, TrainConfig, TrainReport, TrainedPolicy,
+    evaluate, evaluate_profiled, train, train_profiled, EvalOutcome, TrainConfig, TrainReport,
+    TrainedPolicy,
 };

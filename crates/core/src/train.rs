@@ -162,20 +162,16 @@ pub fn trace_for(spec: &AppSpec, peak_load: f64, episode_s: u64, seed: u64) -> D
 
 /// Algorithm 2: train a DDPG agent for `cfg.app` and return the policy.
 pub fn train(cfg: &TrainConfig) -> (TrainedPolicy, TrainReport) {
-    train_recorded(cfg, &Recorder::disabled())
+    train_profiled(cfg, &Recorder::disabled(), &Profiler::disabled())
 }
 
-/// [`train`] with a telemetry [`Recorder`]: per-step
-/// [`event::DrlStep`]/[`event::TrainUpdate`] events from the governor
-/// plus one [`event::EpisodeEnd`] per episode.
-pub fn train_recorded(cfg: &TrainConfig, rec: &Recorder) -> (TrainedPolicy, TrainReport) {
-    train_profiled(cfg, rec, &Profiler::disabled())
-}
-
-/// [`train_recorded`] with a span [`Profiler`]: workload generation
-/// opens `engine.ingest` spans, the engine its `engine.*` phase spans,
-/// and the agent its `ddpg.*` update-stage spans (nested inside
-/// `engine.tick`). Profiling never perturbs training.
+/// [`train`] with a telemetry [`Recorder`] and a span [`Profiler`]. The
+/// recorder receives per-step [`event::DrlStep`]/[`event::TrainUpdate`]
+/// events from the governor plus one [`event::EpisodeEnd`] per episode.
+/// With the profiler, workload generation opens `engine.ingest` spans,
+/// the engine its `engine.*` phase spans, and the agent its `ddpg.*`
+/// update-stage spans (nested inside `engine.tick`). Neither perturbs
+/// training.
 pub fn train_profiled(
     cfg: &TrainConfig,
     rec: &Recorder,
@@ -198,17 +194,19 @@ pub fn train_profiled(
         drop(sp);
         let mut gov = DeepPowerGovernor::new(&mut agent, cfg.deeppower, Mode::Train)
             .with_recorder(rec.clone());
-        let res = server.run_profiled(
-            &arrivals,
-            &mut gov,
-            RunOptions {
-                tick_ns: cfg.deeppower.short_time,
-                trace: TraceConfig::default(),
-                ..Default::default()
-            },
-            rec,
-            prof,
-        );
+        let res = server
+            .session(
+                &arrivals,
+                &mut gov,
+                RunOptions {
+                    tick_ns: cfg.deeppower.short_time,
+                    trace: TraceConfig::default(),
+                    ..Default::default()
+                },
+                rec,
+            )
+            .with_profiler(prof)
+            .finish();
         let steps = gov.log.len().max(1) as f64;
         let mean_reward = gov.log.iter().map(|l| l.reward).sum::<f64>() / steps;
         report.episode_rewards.push(mean_reward);
@@ -254,41 +252,23 @@ pub fn evaluate(
     seed: u64,
     trace_cfg: TraceConfig,
 ) -> EvalOutcome {
-    evaluate_recorded(
-        policy,
-        peak_load,
-        duration_s,
-        seed,
-        trace_cfg,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`evaluate`] with a telemetry [`Recorder`] receiving the full
-/// decision trace: per-step [`event::DrlStep`]s from the governor plus
-/// the engine's frequency-transition/residency/latency-snapshot events
-/// (and request marks when `trace_cfg.request_marks` is set).
-pub fn evaluate_recorded(
-    policy: &TrainedPolicy,
-    peak_load: f64,
-    duration_s: u64,
-    seed: u64,
-    trace_cfg: TraceConfig,
-    rec: &Recorder,
-) -> EvalOutcome {
     evaluate_profiled(
         policy,
         peak_load,
         duration_s,
         seed,
         trace_cfg,
-        rec,
+        &Recorder::disabled(),
         &Profiler::disabled(),
     )
 }
 
-/// [`evaluate_recorded`] with a span [`Profiler`] attached to workload
-/// generation (`engine.ingest`) and the engine (`engine.*` phases).
+/// [`evaluate`] with a telemetry [`Recorder`] receiving the full
+/// decision trace — per-step [`event::DrlStep`]s from the governor plus
+/// the engine's frequency-transition/residency/latency-snapshot events
+/// (and request marks when `trace_cfg.request_marks` is set) — and a
+/// span [`Profiler`] attached to workload generation (`engine.ingest`)
+/// and the engine (`engine.*` phases).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_profiled(
     policy: &TrainedPolicy,
@@ -308,17 +288,19 @@ pub fn evaluate_profiled(
     let mut agent = policy.build_agent();
     let mut gov =
         DeepPowerGovernor::new(&mut agent, policy.deeppower, Mode::Eval).with_recorder(rec.clone());
-    let sim = server.run_profiled(
-        &arrivals,
-        &mut gov,
-        RunOptions {
-            tick_ns: policy.deeppower.short_time,
-            trace: trace_cfg,
-            ..Default::default()
-        },
-        rec,
-        prof,
-    );
+    let sim = server
+        .session(
+            &arrivals,
+            &mut gov,
+            RunOptions {
+                tick_ns: policy.deeppower.short_time,
+                trace: trace_cfg,
+                ..Default::default()
+            },
+            rec,
+        )
+        .with_profiler(prof)
+        .finish();
     EvalOutcome {
         sim,
         log: std::mem::take(&mut gov.log),
@@ -386,7 +368,7 @@ mod tests {
         let cfg = tiny_train_cfg();
         let (plain_policy, plain_report) = train(&cfg);
         let rec = Recorder::ring(1 << 16);
-        let (rec_policy, rec_report) = train_recorded(&cfg, &rec);
+        let (rec_policy, rec_report) = train_profiled(&cfg, &rec, &Profiler::disabled());
         // Telemetry must not change training.
         assert_eq!(plain_policy.actor_weights, rec_policy.actor_weights);
         assert_eq!(plain_report.episode_rewards, rec_report.episode_rewards);
@@ -401,7 +383,15 @@ mod tests {
         // ring must be sized for tick_count × cores to keep everything.
         let rec2 = Recorder::ring(1 << 18);
         let plain_eval = evaluate(&rec_policy, 0.6, 10, 99, TraceConfig::default());
-        let rec_eval = evaluate_recorded(&rec_policy, 0.6, 10, 99, TraceConfig::default(), &rec2);
+        let rec_eval = evaluate_profiled(
+            &rec_policy,
+            0.6,
+            10,
+            99,
+            TraceConfig::default(),
+            &rec2,
+            &Profiler::disabled(),
+        );
         assert_eq!(plain_eval.sim.energy_j, rec_eval.sim.energy_j);
         let eval_events = rec2.drain_events();
         let steps = eval_events.iter().filter(|e| e.kind() == "DrlStep").count();
@@ -463,7 +453,7 @@ mod tests {
         let mut cfg = tiny_train_cfg();
         cfg.deeppower.ddpg.inject_nan_update = 10;
         let rec = Recorder::ring(1 << 16);
-        let (policy, report) = train_recorded(&cfg, &rec);
+        let (policy, report) = train_profiled(&cfg, &rec, &Profiler::disabled());
         assert!(
             rec.counter("faults.train_diverged") >= 1,
             "divergence was never detected"
@@ -508,6 +498,46 @@ mod tests {
         let loaded = TrainedPolicy::load(&path).unwrap();
         assert_eq!(loaded.actor_weights, policy.actor_weights);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// FNV-1a over a stream of 32-bit words: a compact, exact pin.
+    fn fnv_words(words: impl IntoIterator<Item = u32>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn training_and_evaluation_reproduce_pinned_anchors() {
+        // Exact anchors recorded from Algorithm 2 and one held-out
+        // evaluation: the other tests compare a run with a second run of
+        // the same code, this one compares it with recorded bits.
+        let (policy, report) = train(&tiny_train_cfg());
+        let actor = fnv_words(policy.actor_weights.iter().map(|w| w.to_bits()));
+        let critic = fnv_words(policy.critic_weights.iter().map(|w| w.to_bits()));
+        let eval = evaluate(&policy, 0.6, 10, 99, TraceConfig::default());
+        let s = eval.sim.stats;
+        assert_eq!(actor, 0x2e8f6df278ab9705, "actor weights");
+        assert_eq!(critic, 0x8e93bca87043274e, "critic weights");
+        assert_eq!(report.updates, 30, "DDPG updates");
+        assert_eq!(
+            eval.sim.energy_j.to_bits(),
+            0x4082a19e3304cde3,
+            "evaluation energy"
+        );
+        assert_eq!(
+            (s.count, s.p50_ns, s.p95_ns, s.p99_ns, s.max_ns, s.timeouts),
+            (87883, 1266330, 2959759, 4097831, 10241575, 8),
+            "evaluation latency stats"
+        );
+        assert_eq!(
+            s.mean_ns.to_bits(),
+            0x413605fc1542415f,
+            "evaluation mean latency"
+        );
     }
 
     #[test]

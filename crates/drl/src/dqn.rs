@@ -1,33 +1,20 @@
-//! DQN (Mnih et al., 2015) and Double DQN (van Hasselt et al., 2016) over a
-//! discrete action set.
+//! DQN (Mnih et al., 2015) and Double DQN (van Hasselt et al., 2016)
+//! Q-networks over a discrete action set.
 //!
-//! In the DeepPower context these serve two roles: Table 2 benchmarks their
-//! single-state inference latency against DDPG/SAC, and the hierarchy
-//! ablation uses a discrete agent over a quantized (BaseFreq, ScalingCoef)
-//! grid as an alternative top-level policy.
+//! Table 2 of the paper benchmarks their single-state inference latency
+//! against DDPG and SAC; that greedy forward pass is all this module
+//! keeps. The two agents differ only in how training bootstraps its
+//! targets, so at inference time they run the same network.
 
-use crate::replay::{ReplayBuffer, Transition};
-use deeppower_nn::{ActivationKind, Adam, AdamConfig, Matrix, Optimizer, Params, Sequential};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use deeppower_nn::{ActivationKind, Matrix, Sequential};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Hyper-parameters shared by [`Dqn`] and [`Ddqn`].
+/// Network shape shared by [`Dqn`] and [`Ddqn`].
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DqnConfig {
     pub state_dim: usize,
     pub n_actions: usize,
-    pub gamma: f32,
-    pub lr: f32,
-    pub batch_size: usize,
-    pub replay_capacity: usize,
-    /// ε-greedy exploration schedule: linear decay `eps_start → eps_end`
-    /// over `eps_decay_steps` action selections.
-    pub eps_start: f32,
-    pub eps_end: f32,
-    pub eps_decay_steps: u64,
-    /// Hard target-network sync period (in updates).
-    pub target_sync: u64,
-    pub warmup: usize,
     pub seed: u64,
 }
 
@@ -36,42 +23,20 @@ impl Default for DqnConfig {
         Self {
             state_dim: 8,
             n_actions: 16,
-            gamma: 0.95,
-            lr: 1e-3,
-            batch_size: 64,
-            replay_capacity: 100_000,
-            eps_start: 1.0,
-            eps_end: 0.05,
-            eps_decay_steps: 5_000,
-            target_sync: 200,
-            warmup: 64,
             seed: 0,
         }
     }
 }
 
-/// Deep Q-network agent. Set up with the same lightweight hidden sizes as
-/// the paper's actor (32, 24, 16) so the Table 2 comparison is apples to
+/// Deep Q-network. Set up with the same lightweight hidden sizes as the
+/// paper's actor (32, 24, 16) so the Table 2 comparison is apples to
 /// apples.
 pub struct Dqn {
-    pub cfg: DqnConfig,
     pub net: Sequential,
-    target: Sequential,
-    opt: Adam,
-    pub replay: ReplayBuffer,
-    rng: StdRng,
-    actions_taken: u64,
-    updates: u64,
-    /// Double-DQN action selection (decouples argmax from evaluation).
-    double: bool,
 }
 
 impl Dqn {
     pub fn new(cfg: DqnConfig) -> Self {
-        Self::with_double(cfg, false)
-    }
-
-    fn with_double(cfg: DqnConfig, double: bool) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let net = Sequential::mlp(
             &mut rng,
@@ -79,31 +44,7 @@ impl Dqn {
             ActivationKind::Relu,
             ActivationKind::Identity,
         );
-        let target = net.clone();
-        let opt = Adam::new(
-            AdamConfig {
-                lr: cfg.lr,
-                ..Default::default()
-            },
-            &net,
-        );
-        Self {
-            replay: ReplayBuffer::new(cfg.replay_capacity),
-            net,
-            target,
-            opt,
-            rng,
-            actions_taken: 0,
-            updates: 0,
-            double,
-            cfg,
-        }
-    }
-
-    /// Current exploration rate under the linear decay schedule.
-    pub fn epsilon(&self) -> f32 {
-        let frac = (self.actions_taken as f32 / self.cfg.eps_decay_steps as f32).clamp(0.0, 1.0);
-        self.cfg.eps_start + (self.cfg.eps_end - self.cfg.eps_start) * frac
+        Self { net }
     }
 
     /// Greedy action (evaluation path — this is what Table 2 times).
@@ -111,121 +52,10 @@ impl Dqn {
         let q = self.net.forward_inference(&Matrix::from_row(state));
         argmax(q.row(0))
     }
-
-    /// ε-greedy action for training.
-    pub fn act_explore(&mut self, state: &[f32]) -> usize {
-        self.actions_taken += 1;
-        if self.rng.random::<f32>() < self.epsilon() {
-            self.rng.random_range(0..self.cfg.n_actions)
-        } else {
-            self.act(state)
-        }
-    }
-
-    /// Store a transition; `action` must index into the discrete grid.
-    pub fn observe(
-        &mut self,
-        state: Vec<f32>,
-        action: usize,
-        reward: f32,
-        next: Vec<f32>,
-        done: bool,
-    ) {
-        assert!(action < self.cfg.n_actions, "action index out of range");
-        self.replay.push(Transition {
-            state,
-            action: vec![action as f32],
-            reward,
-            next_state: next,
-            done,
-        });
-    }
-
-    pub fn ready(&self) -> bool {
-        self.replay.len() >= self.cfg.batch_size.max(self.cfg.warmup)
-    }
-
-    /// One TD-learning step. Returns the scalar TD loss.
-    pub fn update(&mut self) -> f32 {
-        assert!(self.ready(), "update called before warm-up");
-        let n = self.cfg.batch_size;
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, n)
-            .into_iter()
-            .cloned()
-            .collect();
-
-        let states =
-            Matrix::from_rows(&batch.iter().map(|t| t.state.as_slice()).collect::<Vec<_>>());
-        let next_states = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.next_state.as_slice())
-                .collect::<Vec<_>>(),
-        );
-
-        let q_next_target = self.target.forward_inference(&next_states);
-        let q_next_online = if self.double {
-            Some(self.net.forward_inference(&next_states))
-        } else {
-            None
-        };
-
-        // Per-sample bootstrap target for the taken action only.
-        let mut y = vec![0.0f32; n];
-        for (i, t) in batch.iter().enumerate() {
-            let boot = if t.done {
-                0.0
-            } else if let Some(online) = &q_next_online {
-                // Double DQN: online net chooses, target net evaluates.
-                let a_star = argmax(online.row(i));
-                q_next_target.get(i, a_star)
-            } else {
-                q_next_target
-                    .row(i)
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max)
-            };
-            y[i] = t.reward + self.cfg.gamma * boot;
-        }
-
-        // Gradient only flows through the taken-action slots (Huber).
-        self.net.zero_grad();
-        let q = self.net.forward(&states);
-        let mut grad = Matrix::zeros(n, self.cfg.n_actions);
-        let mut loss = 0.0f32;
-        let delta = 1.0f32;
-        for (i, t) in batch.iter().enumerate() {
-            let a = t.action[0] as usize;
-            let d = q.get(i, a) - y[i];
-            if d.abs() <= delta {
-                loss += 0.5 * d * d;
-                grad.set(i, a, d / n as f32);
-            } else {
-                loss += delta * (d.abs() - 0.5 * delta);
-                grad.set(i, a, delta * d.signum() / n as f32);
-            }
-        }
-        let _ = self.net.backward(&grad);
-        self.opt.step(&mut self.net);
-
-        self.updates += 1;
-        if self.updates.is_multiple_of(self.cfg.target_sync) {
-            let snap = self.net.snapshot();
-            self.target.load_snapshot(&snap);
-        }
-        loss / n as f32
-    }
-
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
 }
 
-/// Double DQN: identical machinery with decoupled action selection in the
-/// bootstrap target.
+/// Double DQN: the same Q-network as [`Dqn`]; only its training target
+/// differs.
 pub struct Ddqn {
     inner: Dqn,
 }
@@ -233,33 +63,12 @@ pub struct Ddqn {
 impl Ddqn {
     pub fn new(cfg: DqnConfig) -> Self {
         Self {
-            inner: Dqn::with_double(cfg, true),
+            inner: Dqn::new(cfg),
         }
     }
 
     pub fn act(&self, state: &[f32]) -> usize {
         self.inner.act(state)
-    }
-
-    pub fn act_explore(&mut self, state: &[f32]) -> usize {
-        self.inner.act_explore(state)
-    }
-
-    pub fn observe(&mut self, s: Vec<f32>, a: usize, r: f32, s2: Vec<f32>, done: bool) {
-        self.inner.observe(s, a, r, s2, done)
-    }
-
-    pub fn ready(&self) -> bool {
-        self.inner.ready()
-    }
-
-    pub fn update(&mut self) -> f32 {
-        self.inner.update()
-    }
-
-    /// Access the shared Q-network (e.g. for the Table 2 inference bench).
-    pub fn net(&self) -> &Sequential {
-        &self.inner.net
     }
 }
 
@@ -277,93 +86,9 @@ fn argmax(xs: &[f32]) -> usize {
 mod tests {
     use super::*;
 
-    /// Reward peaks at action 3 out of 5 regardless of state.
-    fn bandit_reward(a: usize) -> f32 {
-        1.0 - (a as f32 - 3.0).abs() * 0.25
-    }
-
-    #[test]
-    fn dqn_solves_discrete_bandit() {
-        let cfg = DqnConfig {
-            state_dim: 2,
-            n_actions: 5,
-            gamma: 0.0,
-            eps_decay_steps: 500,
-            warmup: 64,
-            seed: 2,
-            ..Default::default()
-        };
-        let mut agent = Dqn::new(cfg);
-        let s = vec![0.3, 0.7];
-        for _ in 0..1200 {
-            let a = agent.act_explore(&s);
-            agent.observe(s.clone(), a, bandit_reward(a), s.clone(), true);
-            if agent.ready() {
-                agent.update();
-            }
-        }
-        assert_eq!(
-            agent.act(&s),
-            3,
-            "greedy action should be the bandit optimum"
-        );
-    }
-
-    #[test]
-    fn ddqn_solves_discrete_bandit() {
-        let cfg = DqnConfig {
-            state_dim: 2,
-            n_actions: 5,
-            gamma: 0.0,
-            eps_decay_steps: 500,
-            warmup: 64,
-            seed: 4,
-            ..Default::default()
-        };
-        let mut agent = Ddqn::new(cfg);
-        let s = vec![0.3, 0.7];
-        for _ in 0..1200 {
-            let a = agent.act_explore(&s);
-            agent.observe(s.clone(), a, bandit_reward(a), s.clone(), true);
-            if agent.ready() {
-                agent.update();
-            }
-        }
-        assert_eq!(agent.act(&s), 3);
-    }
-
-    #[test]
-    fn epsilon_decays_linearly() {
-        let mut agent = Dqn::new(DqnConfig {
-            eps_start: 1.0,
-            eps_end: 0.0,
-            eps_decay_steps: 100,
-            ..Default::default()
-        });
-        assert!((agent.epsilon() - 1.0).abs() < 1e-6);
-        for _ in 0..50 {
-            let _ = agent.act_explore(&[0.0; 8]);
-        }
-        assert!((agent.epsilon() - 0.5).abs() < 1e-6);
-        for _ in 0..100 {
-            let _ = agent.act_explore(&[0.0; 8]);
-        }
-        assert!(agent.epsilon().abs() < 1e-6, "epsilon floors at eps_end");
-    }
-
     #[test]
     fn argmax_picks_first_max_on_ties() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[-1.0]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "action index out of range")]
-    fn observe_rejects_out_of_range_action() {
-        let mut agent = Dqn::new(DqnConfig {
-            n_actions: 4,
-            ..Default::default()
-        });
-        agent.observe(vec![0.0; 8], 4, 0.0, vec![0.0; 8], false);
     }
 }

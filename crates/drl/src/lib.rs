@@ -4,8 +4,8 @@
 //! [`deeppower_nn`]. The DeepPower paper (ICPP 2023) uses **DDPG** as its
 //! top-level controller (§4.5) and benchmarks the single-state inference
 //! latency of **DQN, DDQN, DDPG and SAC** in Table 2 (§3.2) to motivate the
-//! hierarchical design — all four are implemented here as working agents,
-//! not inference-only shells.
+//! hierarchical design. DDPG is a complete training agent; the other three
+//! keep only the inference path that Table 2 times.
 //!
 //! Components:
 //!
@@ -17,12 +17,10 @@
 //!   sigmoid head per thread-controller parameter, §4.6) and a critic that
 //!   concatenates the action after the first hidden layer, exactly as
 //!   described in the implementation-detail section.
-//! * [`Dqn`] / [`Ddqn`] — discrete-action value learners over a quantized
-//!   action grid.
-//! * [`Sac`] — soft actor-critic with a tanh-squashed Gaussian policy,
-//!   twin critics and fixed entropy temperature.
+//! * [`Dqn`] / [`Ddqn`] — greedy Q-networks over a discrete action set.
+//! * [`Sac`] — a tanh-squashed Gaussian policy with its sampled action.
 //!
-//! All agents are seed-deterministic and expose `save`/`load` snapshots.
+//! All networks are seed-deterministic.
 
 pub mod actor;
 pub mod critic;

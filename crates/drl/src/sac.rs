@@ -1,22 +1,17 @@
-//! Soft Actor-Critic (Haarnoja et al., 2018) with a tanh-squashed Gaussian
-//! policy, twin critics, and fixed entropy temperature.
+//! Soft Actor-Critic (Haarnoja et al., 2018) policy: a tanh-squashed
+//! Gaussian over the actions.
 //!
-//! Included because Table 2 of the paper benchmarks SAC's inference latency
-//! against DQN/DDQN/DDPG (it is the slowest of the four at 472 µs — the
-//! stochastic policy head and twin critics make it the heaviest). This is a
-//! complete functioning agent, not an inference shell: the reparameterized
-//! policy gradient is derived by hand (the `nn` crate has no autodiff
-//! through sampling).
+//! Included because Table 2 of the paper benchmarks SAC's inference
+//! latency against DQN/DDQN/DDPG (it is the slowest of the four at
+//! 472 µs). What Table 2 times is the policy network plus the sampled,
+//! squashed action and its log-density, and that is all this module
+//! keeps; the twin critics and the training step are out of scope.
 //!
 //! Actions live in `[-1, 1]` per dimension (tanh squashing); callers that
 //! need `[0, 1]` map affinely.
 
-use crate::critic::Critic;
 use crate::noise::sample_standard_normal;
-use crate::replay::{ReplayBuffer, Transition};
-use deeppower_nn::{
-    mse_loss, ActivationKind, Adam, AdamConfig, Matrix, Optimizer, Params, Sequential,
-};
+use deeppower_nn::{ActivationKind, Matrix, Sequential};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -24,21 +19,11 @@ const LOG_STD_MIN: f32 = -5.0;
 const LOG_STD_MAX: f32 = 2.0;
 const TANH_EPS: f32 = 1e-6;
 
-/// SAC hyper-parameters.
+/// SAC policy shape.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SacConfig {
     pub state_dim: usize,
     pub action_dim: usize,
-    pub gamma: f32,
-    pub tau: f32,
-    pub actor_lr: f32,
-    pub critic_lr: f32,
-    /// Fixed entropy temperature α (auto-tuning is out of scope; the paper
-    /// only uses SAC as a latency comparison subject).
-    pub alpha: f32,
-    pub batch_size: usize,
-    pub replay_capacity: usize,
-    pub warmup: usize,
     pub seed: u64,
 }
 
@@ -47,48 +32,17 @@ impl Default for SacConfig {
         Self {
             state_dim: 8,
             action_dim: 2,
-            gamma: 0.95,
-            tau: 0.005,
-            actor_lr: 1e-3,
-            critic_lr: 1e-3,
-            alpha: 0.1,
-            batch_size: 64,
-            replay_capacity: 100_000,
-            warmup: 64,
             seed: 0,
         }
     }
 }
 
-/// One sampled (squashed) action with the intermediates the gradient needs.
-struct SampledAction {
-    /// Squashed action `a = tanh(u)`, n × A.
-    a: Matrix,
-    /// Pre-squash noise `ε` (fixed for reparameterization), n × A.
-    eps: Matrix,
-    /// Standard deviation `σ = exp(log_std)`, n × A.
-    sigma: Matrix,
-    /// Whether each log-std output was clamped (gradient masked), n × A.
-    clamped: Vec<bool>,
-    /// Per-sample log π(a|s), length n.
-    log_prob: Vec<f32>,
-}
-
-/// Soft actor-critic agent.
+/// Soft actor-critic policy.
 pub struct Sac {
-    pub cfg: SacConfig,
+    action_dim: usize,
     /// Policy network: state → `2 * action_dim` outputs (means, log-stds).
     pub policy: Sequential,
-    q1: Critic,
-    q2: Critic,
-    q1_target: Critic,
-    q2_target: Critic,
-    policy_opt: Adam,
-    q1_opt: Adam,
-    q2_opt: Adam,
-    pub replay: ReplayBuffer,
     rng: StdRng,
-    updates: u64,
 }
 
 impl Sac {
@@ -100,239 +54,37 @@ impl Sac {
             ActivationKind::Relu,
             ActivationKind::Identity,
         );
-        let q1 = Critic::paper_default(&mut rng, cfg.state_dim, cfg.action_dim);
-        let q2 = Critic::paper_default(&mut rng, cfg.state_dim, cfg.action_dim);
-        let q1_target = q1.clone();
-        let q2_target = q2.clone();
-        let policy_opt = Adam::new(
-            AdamConfig {
-                lr: cfg.actor_lr,
-                ..Default::default()
-            },
-            &policy,
-        );
-        let q1_opt = Adam::new(
-            AdamConfig {
-                lr: cfg.critic_lr,
-                ..Default::default()
-            },
-            &q1,
-        );
-        let q2_opt = Adam::new(
-            AdamConfig {
-                lr: cfg.critic_lr,
-                ..Default::default()
-            },
-            &q2,
-        );
         Self {
-            replay: ReplayBuffer::new(cfg.replay_capacity),
+            action_dim: cfg.action_dim,
             policy,
-            q1,
-            q2,
-            q1_target,
-            q2_target,
-            policy_opt,
-            q1_opt,
-            q2_opt,
             rng,
-            updates: 0,
-            cfg,
         }
     }
 
-    /// Deterministic evaluation action: `tanh(mean)`. This is the inference
+    /// Stochastic action and its log-density `log π(a|s)`: the inference
     /// path Table 2 times.
-    pub fn act(&self, state: &[f32]) -> Vec<f32> {
+    pub fn act_explore(&mut self, state: &[f32]) -> (Vec<f32>, f32) {
         let out = self.policy.forward_inference(&Matrix::from_row(state));
-        (0..self.cfg.action_dim)
-            .map(|j| out.get(0, j).tanh())
-            .collect()
+        self.sample_from_outputs(&out)
     }
 
-    /// Stochastic training action.
-    pub fn act_explore(&mut self, state: &[f32]) -> Vec<f32> {
-        if (self.replay.total_pushed() as usize) < self.cfg.warmup {
-            return (0..self.cfg.action_dim)
-                .map(|_| rand::Rng::random_range(&mut self.rng, -1.0..1.0))
-                .collect();
-        }
-        let states = Matrix::from_row(state);
-        let out = self.policy.forward_inference(&states);
-        let sampled = self.sample_from_outputs(&out);
-        sampled.a.row(0).to_vec()
-    }
-
-    pub fn observe(&mut self, t: Transition) {
-        self.replay.push(t);
-    }
-
-    pub fn ready(&self) -> bool {
-        self.replay.len() >= self.cfg.batch_size
-            && self.replay.total_pushed() as usize >= self.cfg.warmup
-    }
-
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Sample squashed actions (and everything the gradients need) from raw
+    /// Sample a squashed action and its log-density from one row of raw
     /// policy outputs `[mu | log_std]`.
-    fn sample_from_outputs(&mut self, out: &Matrix) -> SampledAction {
-        let (n, ad) = (out.rows(), self.cfg.action_dim);
-        let mut a = Matrix::zeros(n, ad);
-        let mut eps = Matrix::zeros(n, ad);
-        let mut sigma = Matrix::zeros(n, ad);
-        let mut clamped = vec![false; n * ad];
-        let mut log_prob = vec![0.0f32; n];
+    fn sample_from_outputs(&mut self, out: &Matrix) -> (Vec<f32>, f32) {
+        let ad = self.action_dim;
         let half_ln_2pi = 0.5 * (2.0 * std::f32::consts::PI).ln();
-        for i in 0..n {
-            for j in 0..ad {
-                let mu = out.get(i, j);
-                let raw_ls = out.get(i, ad + j);
-                let ls = raw_ls.clamp(LOG_STD_MIN, LOG_STD_MAX);
-                clamped[i * ad + j] = raw_ls != ls;
-                let s = ls.exp();
+        let mut log_prob = 0.0f32;
+        let action = (0..ad)
+            .map(|j| {
+                let mu = out.get(0, j);
+                let ls = out.get(0, ad + j).clamp(LOG_STD_MIN, LOG_STD_MAX);
                 let e = sample_standard_normal(&mut self.rng);
-                let u = mu + s * e;
-                let act = u.tanh();
-                a.set(i, j, act);
-                eps.set(i, j, e);
-                sigma.set(i, j, s);
-                log_prob[i] += -0.5 * e * e - ls - half_ln_2pi - (1.0 - act * act + TANH_EPS).ln();
-            }
-        }
-        SampledAction {
-            a,
-            eps,
-            sigma,
-            clamped,
-            log_prob,
-        }
-    }
-
-    /// One SAC gradient step: twin-critic regression to the entropy-
-    /// regularized bootstrap target, then a reparameterized policy step.
-    /// Returns `(critic_loss, policy_loss)`.
-    pub fn update(&mut self) -> (f32, f32) {
-        assert!(self.ready(), "update called before warm-up");
-        let n = self.cfg.batch_size;
-        let ad = self.cfg.action_dim;
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, n)
-            .into_iter()
-            .cloned()
+                let act = (mu + ls.exp() * e).tanh();
+                log_prob += -0.5 * e * e - ls - half_ln_2pi - (1.0 - act * act + TANH_EPS).ln();
+                act
+            })
             .collect();
-
-        let states =
-            Matrix::from_rows(&batch.iter().map(|t| t.state.as_slice()).collect::<Vec<_>>());
-        let actions = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.action.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let next_states = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.next_state.as_slice())
-                .collect::<Vec<_>>(),
-        );
-
-        // Entropy-regularized target:
-        // y = r + γ (1-d) [ min(Q1', Q2')(s', a') − α log π(a'|s') ].
-        let next_out = self.policy.forward_inference(&next_states);
-        let next_sample = self.sample_from_outputs(&next_out);
-        let q1n = self
-            .q1_target
-            .forward_inference(&next_states, &next_sample.a);
-        let q2n = self
-            .q2_target
-            .forward_inference(&next_states, &next_sample.a);
-        let mut targets = Matrix::zeros(n, 1);
-        for (i, t) in batch.iter().enumerate() {
-            let cont = if t.done { 0.0 } else { 1.0 };
-            let soft_q =
-                q1n.get(i, 0).min(q2n.get(i, 0)) - self.cfg.alpha * next_sample.log_prob[i];
-            targets.set(i, 0, t.reward + self.cfg.gamma * cont * soft_q);
-        }
-
-        // Twin critic steps.
-        let mut critic_loss = 0.0f32;
-        {
-            self.q1.zero_grad();
-            let q = self.q1.forward(&states, &actions);
-            let (l, g) = mse_loss(&q, &targets);
-            critic_loss += l;
-            let _ = self.q1.backward(&g);
-            self.q1_opt.step(&mut self.q1);
-        }
-        {
-            self.q2.zero_grad();
-            let q = self.q2.forward(&states, &actions);
-            let (l, g) = mse_loss(&q, &targets);
-            critic_loss += l;
-            let _ = self.q2.backward(&g);
-            self.q2_opt.step(&mut self.q2);
-        }
-
-        // Policy step. Loss per sample: α log π(a|s) − Q1(s, a) with a
-        // reparameterized. Q1 alone drives the actor (TD3-style; the min
-        // only shapes the critic targets) — keeps the hand-derived gradient
-        // single-path.
-        self.policy.zero_grad();
-        self.q1.zero_grad();
-        let out = self.policy.forward(&states);
-        let sample = self.sample_from_outputs(&out);
-        let q_pi = self.q1.forward(&states, &sample.a);
-        let policy_loss = {
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += self.cfg.alpha * sample.log_prob[i] - q_pi.get(i, 0);
-            }
-            acc / n as f32
-        };
-        // dL/dQ = -1/n per sample; critic backward yields dQ/da.
-        let d_q = Matrix::full(n, 1, -1.0 / n as f32);
-        let (_, d_a_from_q) = self.q1.backward(&d_q);
-
-        // Assemble gradients w.r.t. the raw policy outputs [mu | log_std].
-        let mut d_out = Matrix::zeros(n, 2 * ad);
-        let alpha = self.cfg.alpha;
-        for i in 0..n {
-            for j in 0..ad {
-                let a = sample.a.get(i, j);
-                let e = sample.eps.get(i, j);
-                let s = sample.sigma.get(i, j);
-                let one_m_a2 = 1.0 - a * a;
-                // d log π / du  (only the tanh-correction term depends on u)
-                let dlogpi_du = 2.0 * a * one_m_a2 / (one_m_a2 + TANH_EPS);
-                // da/du = 1 - a².
-                let dq_term = d_a_from_q.get(i, j); // already includes -1/n · dQ/da
-                                                    // ∂L/∂mu: entropy term (scaled by 1/n) + Q term via a.
-                let g_mu = alpha * dlogpi_du / n as f32 + dq_term * one_m_a2;
-                // ∂L/∂log σ: direct -α/n (from -log σ) + chain via u (du/dlogσ = σ ε).
-                let mut g_ls = alpha * (-1.0 / n as f32)
-                    + (alpha * dlogpi_du / n as f32 + dq_term * one_m_a2) * s * e;
-                if sample.clamped[i * ad + j] {
-                    g_ls = 0.0; // clamp gate: no gradient outside the bound
-                }
-                d_out.set(i, j, g_mu);
-                d_out.set(i, ad + j, g_ls);
-            }
-        }
-        let _ = self.policy.backward(&d_out);
-        self.policy_opt.step(&mut self.policy);
-
-        // Soft target updates.
-        let s1 = self.q1.snapshot();
-        self.q1_target.soft_update_from(&s1, self.cfg.tau);
-        let s2 = self.q2.snapshot();
-        self.q2_target.soft_update_from(&s2, self.cfg.tau);
-
-        self.updates += 1;
-        (critic_loss * 0.5, policy_loss)
+        (action, log_prob)
     }
 }
 
@@ -342,46 +94,13 @@ mod tests {
 
     #[test]
     fn action_bounded_in_unit_ball() {
-        let agent = Sac::new(SacConfig {
+        let mut agent = Sac::new(SacConfig {
             seed: 1,
             ..Default::default()
         });
-        let a = agent.act(&[0.5; 8]);
+        let (a, _) = agent.act_explore(&[0.5; 8]);
         assert_eq!(a.len(), 2);
         assert!(a.iter().all(|&x| (-1.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    fn sac_solves_continuous_bandit() {
-        let cfg = SacConfig {
-            state_dim: 2,
-            action_dim: 1,
-            gamma: 0.0,
-            alpha: 0.02,
-            warmup: 128,
-            actor_lr: 3e-3,
-            critic_lr: 3e-3,
-            seed: 11,
-            ..Default::default()
-        };
-        let mut agent = Sac::new(cfg);
-        let s = vec![0.2, -0.4];
-        for _ in 0..2000 {
-            let a = agent.act_explore(&s);
-            let r = 1.0 - (a[0] - 0.3).powi(2);
-            agent.observe(Transition {
-                state: s.clone(),
-                action: a,
-                reward: r,
-                next_state: s.clone(),
-                done: true,
-            });
-            if agent.ready() {
-                agent.update();
-            }
-        }
-        let a = agent.act(&s);
-        assert!((a[0] - 0.3).abs() < 0.2, "policy did not converge: {a:?}");
     }
 
     #[test]
@@ -399,42 +118,6 @@ mod tests {
         let s1 = agent.sample_from_outputs(&narrow);
         agent.rng = StdRng::seed_from_u64(42);
         let s2 = agent.sample_from_outputs(&wide);
-        assert!(s1.log_prob[0] > s2.log_prob[0]);
-    }
-
-    #[test]
-    fn warmup_actions_uniform() {
-        let mut agent = Sac::new(SacConfig {
-            warmup: 10,
-            seed: 5,
-            ..Default::default()
-        });
-        let a = agent.act_explore(&[0.0; 8]);
-        let b = agent.act_explore(&[0.0; 8]);
-        assert_ne!(a, b);
-        assert!(a.iter().chain(&b).all(|&x| (-1.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    fn update_runs_and_counts() {
-        let mut agent = Sac::new(SacConfig {
-            state_dim: 2,
-            action_dim: 1,
-            warmup: 0,
-            batch_size: 16,
-            ..Default::default()
-        });
-        for i in 0..32 {
-            agent.observe(Transition {
-                state: vec![0.0, 0.0],
-                action: vec![(i % 3) as f32 * 0.3 - 0.3],
-                reward: 0.1,
-                next_state: vec![0.0, 0.0],
-                done: false,
-            });
-        }
-        let (cl, _pl) = agent.update();
-        assert!(cl.is_finite());
-        assert_eq!(agent.updates(), 1);
+        assert!(s1.1 > s2.1);
     }
 }

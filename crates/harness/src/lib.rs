@@ -7,8 +7,11 @@
 //!
 //! * [`JobSpec`] / [`grid`] — a declarative description of one rollout
 //!   and a combinator that expands the cross product;
-//! * [`run_grid`] — a work-stealing parallel runner over OS threads.
-//!   Each job carries its own seeds and its own server, so results are
+//! * [`run_job`] runs one cell; [`run_grid`] (plain) and
+//!   [`run_grid_telemetry`] (plus one event stream per job) run a whole
+//!   grid on one work-stealing pool of OS threads,
+//!   which [`run_fleet_grid`] and [`robustness_matrix`] share. Each job
+//!   carries its own seeds and its own server, so results are
 //!   **deterministic and independent of the thread count**: the output
 //!   for `--threads 1` and `--threads 8` is byte-identical;
 //! * [`summarize`] / [`GridReport`] — aggregation of the per-job
@@ -310,35 +313,28 @@ fn arrivals_for(spec: &JobSpec, app_spec: &AppSpec) -> Vec<Request> {
     }
 }
 
-/// Run one grid cell to completion. Pure: everything is derived from the
-/// spec, so calling this from any thread at any time gives the same
-/// result.
-pub fn run_job(spec: &JobSpec) -> JobResult {
-    run_job_recorded(spec, 0, &Recorder::disabled())
-}
-
-/// [`run_job`] with a telemetry [`Recorder`]. The event stream is
-/// bracketed by [`event::JobStart`]/[`event::JobEnd`] carrying `job`
-/// (the job's grid index); in between come the engine's and governor's
-/// events — for [`GovernorSpec::DeepPowerTrain`] cells that includes the
-/// full training history (per-step `DrlStep`/`TrainUpdate`, per-episode
-/// `EpisodeEnd`) before the evaluation rollout.
+/// Run one grid cell to completion under a telemetry [`Recorder`] and a
+/// span [`Profiler`] (pass [`Recorder::disabled`] and
+/// [`Profiler::disabled`] for a plain run). Pure: everything is derived
+/// from the spec, so calling this from any thread at any time gives the
+/// same result, whatever is attached.
 ///
-/// Every event is a pure function of `(spec, job)` — no wall-clock data
-/// — which is what lets [`run_grid_telemetry`] promise byte-identical
-/// artifacts at any thread count.
-pub fn run_job_recorded(spec: &JobSpec, job: u64, rec: &Recorder) -> JobResult {
-    run_job_profiled(spec, job, rec, &Profiler::disabled())
-}
-
-/// [`run_job_recorded`] with a span [`Profiler`]. The whole cell runs
-/// under a `harness.job` root span; inside it the engine, training and
-/// DDPG spans nest as usual. The profiler is `Send + Sync`, so one
-/// handle can aggregate across all grid workers — and because spans are
-/// wall-clock-only artifacts, enabling it cannot perturb the
-/// [`JobResult`] or the event stream (see
+/// The event stream is bracketed by [`event::JobStart`]/[`event::JobEnd`]
+/// carrying `job` (the job's grid index); in between come the engine's
+/// and governor's events — for [`GovernorSpec::DeepPowerTrain`] cells
+/// that includes the full training history (per-step
+/// `DrlStep`/`TrainUpdate`, per-episode `EpisodeEnd`) before the
+/// evaluation rollout. Every event is a pure function of `(spec, job)` —
+/// no wall-clock data — which is what lets [`run_grid_telemetry`]
+/// promise byte-identical artifacts at any thread count.
+///
+/// The whole cell runs under a `harness.job` root span; inside it the
+/// engine, training and DDPG spans nest as usual. The profiler is
+/// `Send + Sync`, so one handle can aggregate across all grid workers —
+/// and because spans are wall-clock-only artifacts, enabling it cannot
+/// perturb the [`JobResult`] or the event stream (see
 /// `profiled_grid_is_byte_identical_at_any_thread_count`).
-pub fn run_job_profiled(spec: &JobSpec, job: u64, rec: &Recorder, prof: &Profiler) -> JobResult {
+pub fn run_job(spec: &JobSpec, job: u64, rec: &Recorder, prof: &Profiler) -> JobResult {
     let _job_span = prof.span("harness.job");
     let app_spec = AppSpec::get(spec.app);
     let server = Server::new(ServerConfig::paper_default(app_spec.n_threads));
@@ -433,10 +429,16 @@ fn run_sim(
         let n_cores = server.config().n_cores;
         let mut safe =
             SafetyGovernor::new(gov, n_cores, SafetyConfig::default()).with_recorder(rec.clone());
-        server.run_profiled(arrivals, &mut safe, opts, rec, prof)
+        server
+            .session(arrivals, &mut safe, opts, rec)
+            .with_profiler(prof)
+            .finish()
     } else {
         let mut gov = gov;
-        server.run_profiled(arrivals, &mut gov, opts, rec, prof)
+        server
+            .session(arrivals, &mut gov, opts, rec)
+            .with_profiler(prof)
+            .finish()
     }
 }
 
@@ -464,27 +466,63 @@ fn run_policy(
     (JobResult::from_sim(spec, &sim, &gov.log), duration)
 }
 
-/// Execute all jobs on `threads` worker threads with work stealing.
+/// Run `f(index, item)` for every item on `threads` worker threads with
+/// work stealing, returning the results in item order.
 ///
-/// Workers claim job indices from a shared atomic counter and write each
-/// result into its job's dedicated slot, so the output vector is ordered
-/// by job index regardless of which worker ran which job or in what
-/// order — the returned results (and any JSON rendered from them) are
-/// identical for every thread count. `threads = 0` uses the machine's
-/// available parallelism.
-pub fn run_grid(jobs: &[JobSpec], threads: usize) -> Vec<JobResult> {
-    run_grid_inner(jobs, threads, false, &Profiler::disabled()).0
+/// Workers claim indices from a shared atomic counter and write each
+/// result into its item's dedicated slot, so the output is ordered by
+/// index regardless of which worker ran which item or in what order.
+/// `threads = 0` uses the machine's available parallelism.
+fn par_slots<T: Sync, R: Send + Sync>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let threads = resolve_threads(threads).min(items.len()).max(1);
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(idx) else { break };
+                assert!(slots[idx].set(f(idx, item)).is_ok(), "slot written twice");
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("worker panicked before finishing its item")
+        })
+        .collect()
 }
 
-/// [`run_grid`] with a shared span [`Profiler`]. Every worker records
-/// into the same handle (the profiler is `Send + Sync` and keeps
-/// per-thread open-span stacks), so the phase table and Chrome trace
-/// cover the whole grid: one `harness.job` root span per job, with the
-/// engine/training/DDPG spans of that job nested inside on whichever
-/// worker thread ran it. Results stay byte-identical to [`run_grid`] —
-/// spans are a wall-clock-only artifact channel.
-pub fn run_grid_profiled(jobs: &[JobSpec], threads: usize, prof: &Profiler) -> Vec<JobResult> {
-    run_grid_inner(jobs, threads, false, prof).0
+/// `threads`, or the machine's available parallelism when it is 0.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
+/// Execute all jobs on `threads` worker threads with work stealing.
+///
+/// Each job carries its own seeds and its own server and lands in its
+/// own slot, so the returned results (and any JSON rendered from them)
+/// are identical for every thread count. `threads = 0` uses the
+/// machine's available parallelism.
+pub fn run_grid(jobs: &[JobSpec], threads: usize) -> Vec<JobResult> {
+    par_slots(jobs, threads, |idx, job| {
+        run_job(
+            job,
+            idx as u64,
+            &Recorder::disabled(),
+            &Profiler::disabled(),
+        )
+    })
 }
 
 /// [`run_grid`] plus one telemetry event stream per job, index-aligned
@@ -497,65 +535,16 @@ pub fn run_grid_profiled(jobs: &[JobSpec], threads: usize, prof: &Profiler) -> V
 /// serializing stream `i` (e.g. via `deeppower_telemetry::to_jsonl`)
 /// yields byte-identical output at `--threads 1` and `--threads 8`.
 pub fn run_grid_telemetry(jobs: &[JobSpec], threads: usize) -> (Vec<JobResult>, Vec<Vec<Event>>) {
-    let (results, events) = run_grid_inner(jobs, threads, true, &Profiler::disabled());
-    (results, events.expect("telemetry slots requested"))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_grid_inner(
-    jobs: &[JobSpec],
-    threads: usize,
-    telemetry: bool,
-    prof: &Profiler,
-) -> (Vec<JobResult>, Option<Vec<Vec<Event>>>) {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.min(jobs.len()).max(1);
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<(JobResult, Vec<Event>)>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(idx) else { break };
-                // Recorders are thread-local by construction (`!Send`):
-                // each job builds its own on the worker running it and
-                // the events leave through the per-index slot.
-                let rec = if telemetry {
-                    Recorder::ring(GRID_EVENT_CAPACITY)
-                } else {
-                    Recorder::disabled()
-                };
-                let result = run_job_profiled(job, idx as u64, &rec, prof);
-                let events = rec.drain_events();
-                assert!(
-                    slots[idx].set((result, events)).is_ok(),
-                    "job slot written twice"
-                );
-            });
-        }
-    });
-
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut events = telemetry.then(|| Vec::with_capacity(jobs.len()));
-    for slot in slots {
-        let (result, ev) = slot
-            .into_inner()
-            .expect("worker panicked before finishing job");
-        results.push(result);
-        if let Some(events) = &mut events {
-            events.push(ev);
-        }
-    }
-    (results, events)
+    par_slots(jobs, threads, |idx, job| {
+        // Recorders are thread-local by construction (`!Send`): each job
+        // builds its own on the worker running it and the events leave
+        // through the per-index slot.
+        let rec = Recorder::ring(GRID_EVENT_CAPACITY);
+        let result = run_job(job, idx as u64, &rec, &Profiler::disabled());
+        (result, rec.drain_events())
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Mean metrics of one (app, governor) group across its seeds.
@@ -880,35 +869,13 @@ pub fn select_scenarios(
 }
 
 /// Build the robustness job list: every governor (plain and, when
-/// `include_safety`, safety-wrapped) under every fault *and* overload
-/// scenario ([`robustness_scenarios`]). Row-major: scenarios vary
-/// fastest, then the safety axis, then governors — matching
+/// `include_safety`, safety-wrapped) under every scenario of
+/// `scenarios` — [`robustness_scenarios`] for the full matrix, or a
+/// [`select_scenarios`] subset. The first scenario must be the overload-
+/// and fault-free `none` baseline. Row-major: scenarios vary fastest,
+/// then the safety axis, then governors — matching
 /// [`robustness_matrix`]'s row order.
 pub fn robustness_jobs(
-    app: App,
-    governors: &[GovernorSpec],
-    include_safety: bool,
-    seed: u64,
-    peak_load: f64,
-    duration_s: u64,
-) -> Vec<JobSpec> {
-    let scenarios = robustness_scenarios(seed, AppSpec::get(app).sla);
-    robustness_jobs_for(
-        &scenarios,
-        app,
-        governors,
-        include_safety,
-        seed,
-        peak_load,
-        duration_s,
-    )
-}
-
-/// [`robustness_jobs`] over an explicit scenario list (see
-/// [`select_scenarios`]). The first scenario must be the overload- and
-/// fault-free `none` baseline.
-#[allow(clippy::too_many_arguments)]
-pub fn robustness_jobs_for(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
     app: App,
     governors: &[GovernorSpec],
@@ -939,8 +906,11 @@ pub fn robustness_jobs_for(
     jobs
 }
 
-/// Run the governors × fault-scenarios matrix and compute each cell's
+/// Run the governors × scenarios matrix and compute each cell's
 /// degradation relative to the same governor's fault-free run.
+/// `scenarios` is [`robustness_scenarios`] or a [`select_scenarios`]
+/// subset (e.g. the CLI's `--scenario` filter); its first entry must be
+/// the `none` baseline the deltas are taken against.
 ///
 /// Each job runs under a telemetry recorder ([`run_grid_telemetry`]) and
 /// its event stream feeds a single-node [`FleetMonitor`] evaluating the
@@ -949,33 +919,8 @@ pub fn robustness_jobs_for(
 /// ring-capped at [`GRID_EVENT_CAPACITY`]; a dvfs fault storm on a long
 /// run can clip the *earliest* events, which may drop leading windows
 /// from the monitor's view (never the run's own results).
-pub fn robustness_matrix(
-    app: App,
-    governors: &[GovernorSpec],
-    include_safety: bool,
-    seed: u64,
-    peak_load: f64,
-    duration_s: u64,
-    threads: usize,
-) -> RobustnessReport {
-    let scenarios = robustness_scenarios(seed, AppSpec::get(app).sla);
-    robustness_matrix_for(
-        &scenarios,
-        app,
-        governors,
-        include_safety,
-        seed,
-        peak_load,
-        duration_s,
-        threads,
-    )
-}
-
-/// [`robustness_matrix`] over an explicit scenario list (see
-/// [`select_scenarios`]), e.g. the CLI's `--scenario` filter. The first
-/// scenario must be the `none` baseline the deltas are taken against.
 #[allow(clippy::too_many_arguments)]
-pub fn robustness_matrix_for(
+pub fn robustness_matrix(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
     app: App,
     governors: &[GovernorSpec],
@@ -985,7 +930,7 @@ pub fn robustness_matrix_for(
     duration_s: u64,
     threads: usize,
 ) -> RobustnessReport {
-    let jobs = robustness_jobs_for(
+    let jobs = robustness_jobs(
         scenarios,
         app,
         governors,
@@ -1083,8 +1028,8 @@ pub fn fleet_grid(
     jobs
 }
 
-/// Execute fleet jobs on `threads` workers with the same work-stealing
-/// slot scheme as [`run_grid`]: results are ordered by job index and
+/// Execute fleet jobs on `threads` workers on the same work-stealing
+/// slot pool as [`run_grid`]: results are ordered by job index and
 /// byte-identical at any thread count.
 ///
 /// The budget splits across two levels: when there are fewer jobs than
@@ -1093,43 +1038,14 @@ pub fn fleet_grid(
 /// byte-identical at any intra-fleet thread count). A 16-core host running a 2-cell grid therefore drives each
 /// fleet with 8 worker threads instead of idling 14 cores.
 pub fn run_fleet_grid(jobs: &[FleetJobSpec], threads: usize) -> Vec<FleetResult> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.max(1);
+    let threads = resolve_threads(threads);
     let pool = threads.min(jobs.len()).max(1);
     // Cores left over after one worker per job parallelize the fleets
     // themselves (run_fleet_threaded clamps to the node count).
     let intra = (threads / pool).max(1);
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<FleetResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..pool {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(idx) else { break };
-                let result = run_fleet_threaded(&job.fleet, &job.policy, intra);
-                assert!(
-                    slots[idx].set(result).is_ok(),
-                    "fleet job slot written twice"
-                );
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker panicked before finishing fleet job")
-        })
-        .collect()
+    par_slots(jobs, pool, |_, job| {
+        run_fleet_threaded(&job.fleet, &job.policy, intra)
+    })
 }
 
 #[cfg(test)]
@@ -1236,7 +1152,10 @@ mod tests {
         let plain = summarize(run_grid(&jobs, 1)).to_json();
         for threads in [1, 4] {
             let prof = Profiler::enabled();
-            let report = summarize(run_grid_profiled(&jobs, threads, &prof)).to_json();
+            let results = par_slots(&jobs, threads, |i, j| {
+                run_job(j, i as u64, &Recorder::disabled(), &prof)
+            });
+            let report = summarize(results).to_json();
             assert_eq!(
                 plain, report,
                 "profiling changed grid results at threads={threads}"
@@ -1311,6 +1230,7 @@ mod tests {
         // The acceptance bar: same (seed, config, FaultPlan) ⇒
         // byte-identical reports and telemetry at any thread count.
         let jobs = robustness_jobs(
+            &robustness_scenarios(3, AppSpec::get(App::Masstree).sla),
             App::Masstree,
             &[
                 GovernorSpec::MaxFreq,
@@ -1413,7 +1333,7 @@ mod tests {
             safety: true,
         };
         assert_eq!(job.governor_label(), "thread-controller+safe");
-        let res = run_job(&job);
+        let res = run_job(&job, 0, &Recorder::disabled(), &Profiler::disabled());
         assert_eq!(res.governor, "thread-controller+safe");
         job.safety = false;
         assert_eq!(job.governor_label(), "thread-controller");
@@ -1421,7 +1341,17 @@ mod tests {
 
     #[test]
     fn robustness_matrix_has_zero_deltas_on_fault_free_rows() {
-        let report = robustness_matrix(App::Masstree, &[GovernorSpec::MaxFreq], true, 5, 0.4, 2, 0);
+        let scenarios = robustness_scenarios(5, AppSpec::get(App::Masstree).sla);
+        let report = robustness_matrix(
+            &scenarios,
+            App::Masstree,
+            &[GovernorSpec::MaxFreq],
+            true,
+            5,
+            0.4,
+            2,
+            0,
+        );
         // 1 governor × {plain, safe} × 8 scenarios (5 fault + 3 overload).
         assert_eq!(report.rows.len(), 16);
         for row in report.rows.iter().filter(|r| r.scenario == "none") {
@@ -1478,7 +1408,7 @@ mod tests {
     fn filtered_matrix_matches_full_matrix_rows() {
         let scenarios =
             select_scenarios(5, AppSpec::get(App::Masstree).sla, &["collapse".into()]).unwrap();
-        let filtered = robustness_matrix_for(
+        let filtered = robustness_matrix(
             &scenarios,
             App::Masstree,
             &[GovernorSpec::MaxFreq],
@@ -1489,7 +1419,16 @@ mod tests {
             0,
         );
         assert_eq!(filtered.rows.len(), 2);
-        let full = robustness_matrix(App::Masstree, &[GovernorSpec::MaxFreq], false, 5, 0.4, 2, 0);
+        let full = robustness_matrix(
+            &robustness_scenarios(5, AppSpec::get(App::Masstree).sla),
+            App::Masstree,
+            &[GovernorSpec::MaxFreq],
+            false,
+            5,
+            0.4,
+            2,
+            0,
+        );
         for row in &filtered.rows {
             let twin = full
                 .rows
@@ -1527,9 +1466,9 @@ mod tests {
             rtrace: TracePlan::none(),
             safety: false,
         };
-        let plain = run_job(&job);
+        let plain = run_job(&job, 0, &Recorder::disabled(), &Profiler::disabled());
         job.safety = true;
-        let safe = run_job(&job);
+        let safe = run_job(&job, 0, &Recorder::disabled(), &Profiler::disabled());
         assert_eq!(safe.governor, "deeppower-train+safe");
         let strip = |r: &JobResult| {
             let mut v = serde_json::to_value(r).expect("serialize JobResult");
@@ -1543,6 +1482,140 @@ mod tests {
             strip(&safe),
             "safety wrapper must not perturb a fault-free DeepPower run"
         );
+    }
+
+    /// FNV-1a over a serialized artifact: a compact, exact pin.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One cell of every kind the job runner distinguishes: in-cell
+    /// DDPG training, a safety-wrapped governor, platform faults, a
+    /// closed-loop overload and a traced cell.
+    fn anchor_grid() -> Vec<JobSpec> {
+        let mut cfg = TrainConfig::for_app(App::Xapian);
+        cfg.episodes = 1;
+        cfg.episode_s = 10;
+        cfg.peak_load = 0.6;
+        cfg.deeppower.ddpg.warmup = 4;
+        cfg.deeppower.ddpg.batch_size = 8;
+        let sla = AppSpec::get(App::Masstree).sla;
+        let collapse = overload_scenarios(9, sla)
+            .into_iter()
+            .find(|(name, _)| *name == "collapse")
+            .expect("collapse scenario exists")
+            .1;
+        let all_faults = fault_scenarios(3)
+            .into_iter()
+            .find(|(name, _)| *name == "all")
+            .expect("all-faults scenario exists")
+            .1;
+        let job = |app, governor, seed, workload| JobSpec {
+            app,
+            governor,
+            seed,
+            peak_load: 0.6,
+            duration_s: 2,
+            workload,
+            faults: FaultPlan::none(),
+            overload: OverloadPlan::none(),
+            rtrace: TracePlan::none(),
+            safety: false,
+        };
+        vec![
+            job(
+                App::Xapian,
+                GovernorSpec::DeepPowerTrain(cfg),
+                7,
+                WorkloadKind::Constant,
+            ),
+            JobSpec {
+                safety: true,
+                ..job(
+                    App::Xapian,
+                    GovernorSpec::ThreadController(0.3, 1.0),
+                    1,
+                    WorkloadKind::Diurnal,
+                )
+            },
+            JobSpec {
+                faults: all_faults,
+                ..job(
+                    App::Masstree,
+                    GovernorSpec::ThreadController(0.2, 0.8),
+                    3,
+                    WorkloadKind::Constant,
+                )
+            },
+            JobSpec {
+                peak_load: 0.8,
+                overload: collapse,
+                ..job(
+                    App::Masstree,
+                    GovernorSpec::MaxFreq,
+                    9,
+                    WorkloadKind::Constant,
+                )
+            },
+            JobSpec {
+                rtrace: TracePlan::sampled(0.1, 2, 5),
+                ..job(
+                    App::Masstree,
+                    GovernorSpec::FixedMhz(1500),
+                    4,
+                    WorkloadKind::Constant,
+                )
+            },
+        ]
+    }
+
+    #[test]
+    fn grid_reproduces_pinned_anchors() {
+        // Exact anchors recorded from the grid runner: the thread-count
+        // tests above compare the runner with itself, this one compares
+        // it with recorded bytes. Digests are FNV-1a of the grid report
+        // JSON and of each job's JSONL event stream.
+        let jobs = anchor_grid();
+        let report_fnv = 0x70e49503fe651f48;
+        let stream_fnv = [
+            0x470cb8443b252e42,
+            0x1a5f3c625d0020a6,
+            0x7598f17dcfa94607,
+            0x96818df15ea637e8,
+            0x44c814259cf6e6f4,
+        ];
+        for threads in [1usize, 4] {
+            let results = run_grid(&jobs, threads);
+            // Each cell exercises what it is there for.
+            assert!(results[0].drl_steps > 0, "training cell ran no DRL steps");
+            assert_eq!(results[1].governor, "thread-controller+safe");
+            assert!(
+                results[2].faults_injected > 0,
+                "faulted cell injected nothing"
+            );
+            assert!(results[3].shed > 0, "overloaded cell shed nothing");
+            let report = summarize(results).to_json();
+            let (results, events) = run_grid_telemetry(&jobs, threads);
+            assert!(
+                events[4]
+                    .iter()
+                    .any(|e| matches!(e, Event::RequestTrace(_))),
+                "traced cell emitted no traces"
+            );
+            assert_eq!(
+                summarize(results).to_json(),
+                report,
+                "--threads {threads}: telemetry perturbed the results"
+            );
+            let streams: Vec<u64> = events
+                .iter()
+                .map(|ev| fnv(&deeppower_telemetry::to_jsonl(ev)))
+                .collect();
+            assert_eq!(fnv(&report), report_fnv, "--threads {threads}: report");
+            assert_eq!(streams, stream_fnv, "--threads {threads}: event streams");
+        }
     }
 
     #[test]

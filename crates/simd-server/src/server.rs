@@ -327,66 +327,40 @@ impl Server {
     }
 
     /// Simulate `arrivals` (must be sorted by arrival time) to completion
-    /// under `governor`. Returns all metrics, energy and traces.
+    /// under `governor`, without telemetry. Returns all metrics, energy
+    /// and traces. The observed form is
+    /// `session(arrivals, governor, opts, &rec).with_profiler(&prof).finish()`.
     pub fn run(
         &self,
         arrivals: &[Request],
         governor: &mut dyn Governor,
         opts: RunOptions,
     ) -> SimResult {
-        self.run_recorded(arrivals, governor, opts, &Recorder::disabled())
-    }
-
-    /// [`run`](Self::run) with a telemetry [`Recorder`]. An enabled
-    /// recorder receives per-core [`event::CoreResidency`] at run end,
-    /// once-per-simulated-second [`event::LatencySnapshot`]s (read at
-    /// governor-tick boundaries from the incremental latency recorder),
-    /// and, gated on the [`TraceConfig`] knobs that bound their volume:
-    /// [`event::FreqTransition`] on every applied frequency change (when
-    /// `freq_sample_ns > 0`) and
-    /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks (when
-    /// `request_marks` is set).
-    ///
-    /// Telemetry never adds event times to the simulation (all emission
-    /// happens at boundaries the engine visits anyway), so results are
-    /// bit-identical whether the recorder is enabled or not.
-    pub fn run_recorded(
-        &self,
-        arrivals: &[Request],
-        governor: &mut dyn Governor,
-        opts: RunOptions,
-        rec: &Recorder,
-    ) -> SimResult {
-        self.session(arrivals, governor, opts, rec).finish()
-    }
-
-    /// [`run_recorded`](Self::run_recorded) with a span [`Profiler`]
-    /// attached: engine phases (completions / arrivals+dispatch /
-    /// governor tick / trace samples / advance) open wall-clock spans.
-    /// Profiling reads the clock but writes nothing into the
-    /// simulation, so results stay bit-identical to an unprofiled run.
-    pub fn run_profiled(
-        &self,
-        arrivals: &[Request],
-        governor: &mut dyn Governor,
-        opts: RunOptions,
-        rec: &Recorder,
-        prof: &Profiler,
-    ) -> SimResult {
-        self.session(arrivals, governor, opts, rec)
-            .with_profiler(prof)
+        self.session(arrivals, governor, opts, &Recorder::disabled())
             .finish()
     }
 
     /// Start a resumable simulation [`Session`] over `arrivals`.
     ///
-    /// The session processes exactly the same event sequence as
-    /// [`run_recorded`](Self::run_recorded) — that method is literally
-    /// `session(..).finish()` — but can be paused at any simulated time
-    /// via [`Session::advance_until`], letting a driver inspect the
-    /// server state between events and steer the governor from outside
-    /// (the fleet layer advances N node sessions in lockstep epochs and
+    /// [`Session::finish`] runs it to completion: [`run`](Self::run) is
+    /// literally `session(..).finish()` with a disabled recorder. The
+    /// session can also be paused at any simulated time via
+    /// [`Session::advance_until`], letting a driver inspect the server
+    /// state between events and steer the governor from outside (the
+    /// fleet layer advances N node sessions in lockstep epochs and
     /// batches their policy inference).
+    ///
+    /// An enabled `rec` receives per-core [`event::CoreResidency`] at
+    /// run end, once-per-simulated-second [`event::LatencySnapshot`]s
+    /// (read at governor-tick boundaries from the incremental latency
+    /// recorder), and, gated on the [`TraceConfig`] knobs that bound
+    /// their volume: [`event::FreqTransition`] on every applied frequency
+    /// change (when `freq_sample_ns > 0`) and
+    /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks (when
+    /// `request_marks` is set). Telemetry never adds event times to the
+    /// simulation (all emission happens at boundaries the engine visits
+    /// anyway), so results are bit-identical whether the recorder is
+    /// enabled or not.
     pub fn session<'a>(
         &'a self,
         arrivals: &'a [Request],
@@ -499,6 +473,8 @@ impl Session<'_> {
     /// Attach a span [`Profiler`] (a cheap handle clone; disabled by
     /// default). Engine phases then open `engine.*` spans; with the
     /// default disabled profiler every span call is one branch.
+    /// Profiling reads the clock but writes nothing into the simulation,
+    /// so results stay bit-identical to an unprofiled run.
     pub fn with_profiler(mut self, prof: &Profiler) -> Self {
         self.prof = prof.clone();
         self
@@ -1567,7 +1543,9 @@ mod tests {
         }
         let plain = server.run(&arrivals, &mut Stepper, opts);
         let recorder = deeppower_telemetry::Recorder::ring(1 << 16);
-        let recorded = server.run_recorded(&arrivals, &mut Stepper, opts, &recorder);
+        let recorded = server
+            .session(&arrivals, &mut Stepper, opts, &recorder)
+            .finish();
 
         // Telemetry must not perturb the simulation.
         assert_eq!(plain.records, recorded.records);
@@ -1600,7 +1578,9 @@ mod tests {
             .collect();
         let mut gov = FixedFrequency { mhz: 2100 };
         let recorder = deeppower_telemetry::Recorder::ring(1 << 14);
-        let res = server.run_recorded(&arrivals, &mut gov, RunOptions::default(), &recorder);
+        let res = server
+            .session(&arrivals, &mut gov, RunOptions::default(), &recorder)
+            .finish();
         let events = recorder.drain_events();
         let rollups: Vec<&event::WindowRollup> = events
             .iter()
@@ -1651,15 +1631,17 @@ mod tests {
         // window_ns = 0 disables rollups without touching results.
         let mut gov2 = FixedFrequency { mhz: 2100 };
         let rec2 = deeppower_telemetry::Recorder::ring(1 << 14);
-        let res2 = server.run_recorded(
-            &arrivals,
-            &mut gov2,
-            RunOptions {
-                window_ns: 0,
-                ..Default::default()
-            },
-            &rec2,
-        );
+        let res2 = server
+            .session(
+                &arrivals,
+                &mut gov2,
+                RunOptions {
+                    window_ns: 0,
+                    ..Default::default()
+                },
+                &rec2,
+            )
+            .finish();
         assert_eq!(res.records, res2.records);
         assert_eq!(res.energy_j.to_bits(), res2.energy_j.to_bits());
         assert!(rec2
@@ -1681,13 +1663,15 @@ mod tests {
         let mut gov = FixedFrequency { mhz: 2100 };
         let plain = server.run(&arrivals, &mut gov, opts);
         let prof = deeppower_telemetry::Profiler::enabled();
-        let profiled = server.run_profiled(
-            &arrivals,
-            &mut gov,
-            opts,
-            &deeppower_telemetry::Recorder::disabled(),
-            &prof,
-        );
+        let profiled = server
+            .session(
+                &arrivals,
+                &mut gov,
+                opts,
+                &deeppower_telemetry::Recorder::disabled(),
+            )
+            .with_profiler(&prof)
+            .finish();
 
         // Profiling reads the wall clock but must not perturb the
         // simulation: results are bit-identical.
@@ -1753,7 +1737,9 @@ mod tests {
             ..Default::default()
         };
         let rec = deeppower_telemetry::Recorder::ring(1 << 12);
-        let res = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 800 }, opts, &rec);
+        let res = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 800 }, opts, &rec)
+            .finish();
         // Every write is dropped: the core stays at the initial 2100 MHz.
         assert_eq!(res.freq_transitions, 0);
         assert!(res.records[0].latency.abs_diff(2 * MILLISECOND) <= 1);
@@ -1859,8 +1845,12 @@ mod tests {
         }
         let rec_a = deeppower_telemetry::Recorder::ring(1 << 16);
         let rec_b = deeppower_telemetry::Recorder::ring(1 << 16);
-        let a = server.run_recorded(&arrivals, &mut Stepper, opts, &rec_a);
-        let b = server.run_recorded(&arrivals, &mut Stepper, opts, &rec_b);
+        let a = server
+            .session(&arrivals, &mut Stepper, opts, &rec_a)
+            .finish();
+        let b = server
+            .session(&arrivals, &mut Stepper, opts, &rec_b)
+            .finish();
         assert_eq!(a.records, b.records);
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
         assert_eq!(a.faults_injected, b.faults_injected);
@@ -1920,7 +1910,9 @@ mod tests {
             ..Default::default()
         };
         let rec = deeppower_telemetry::Recorder::ring(1 << 10);
-        let res = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 2100 }, opts, &rec);
+        let res = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 2100 }, opts, &rec)
+            .finish();
         assert_eq!(res.shed, 8);
         assert_eq!(res.stats.count, 2);
         assert_eq!(res.goodput + res.wasted, res.stats.count);
@@ -2000,7 +1992,9 @@ mod tests {
             ..Default::default()
         };
         let rec = deeppower_telemetry::Recorder::ring(1 << 10);
-        let res = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 2100 }, opts, &rec);
+        let res = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 2100 }, opts, &rec)
+            .finish();
         assert_eq!(res.abandoned, 2, "both attempts abandoned");
         assert_eq!(res.retries, 1);
         assert_eq!(res.wasted, 2, "both completions answered nobody");
@@ -2057,8 +2051,12 @@ mod tests {
         };
         let rec_a = deeppower_telemetry::Recorder::ring(1 << 16);
         let rec_b = deeppower_telemetry::Recorder::ring(1 << 16);
-        let a = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 1000 }, opts, &rec_a);
-        let b = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 1000 }, opts, &rec_b);
+        let a = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 1000 }, opts, &rec_a)
+            .finish();
+        let b = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 1000 }, opts, &rec_b)
+            .finish();
         assert_eq!(a.records, b.records);
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
         assert_eq!(
@@ -2117,13 +2115,17 @@ mod tests {
         };
         let rec_off = deeppower_telemetry::Recorder::ring(1 << 16);
         let rec_on = deeppower_telemetry::Recorder::ring(1 << 16);
-        let off = server.run_recorded(&arrivals, &mut FixedFrequency { mhz: 1000 }, base, &rec_off);
-        let on = server.run_recorded(
-            &arrivals,
-            &mut FixedFrequency { mhz: 1000 },
-            traced_opts,
-            &rec_on,
-        );
+        let off = server
+            .session(&arrivals, &mut FixedFrequency { mhz: 1000 }, base, &rec_off)
+            .finish();
+        let on = server
+            .session(
+                &arrivals,
+                &mut FixedFrequency { mhz: 1000 },
+                traced_opts,
+                &rec_on,
+            )
+            .finish();
         assert_eq!(off.records, on.records, "tracing perturbed the results");
         assert_eq!(off.energy_j.to_bits(), on.energy_j.to_bits());
         assert_eq!(
@@ -2217,12 +2219,9 @@ mod tests {
                     ..Default::default()
                 };
                 let rec = deeppower_telemetry::Recorder::ring(1 << 16);
-                let res = server.run_recorded(
-                    &arrivals,
-                    &mut FixedFrequency { mhz: 1200 },
-                    opts,
-                    &rec,
-                );
+                let res = server
+                    .session(&arrivals, &mut FixedFrequency { mhz: 1200 }, opts, &rec)
+                    .finish();
                 for ev in rec.drain_events() {
                     let Event::RequestTrace(tr) = ev else { continue };
                     prop_assert_eq!(tr.latency_ns, tr.end - tr.first_submit);
