@@ -53,8 +53,17 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let parsed = COMMANDS
+        .iter()
+        .find(|c| c.0 == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))
+        .and_then(|&(name, run, accepted)| Ok((run, parse_flags(&args[1..], name, accepted)?)));
+    let (run, flags) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -65,27 +74,7 @@ fn main() -> ExitCode {
         flags.contains_key("verbose"),
         Recorder::ring(64),
     );
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&flags, &log),
-        "eval" => cmd_eval(&flags, &log),
-        "compare" => cmd_compare(&flags, &log),
-        "grid" => cmd_grid(&flags, &log),
-        "robustness" => cmd_robustness(&flags, &log),
-        "fleet" => cmd_fleet(&flags, &log),
-        "monitor" => cmd_monitor(&flags, &log),
-        "trace" => cmd_trace(&flags, &log),
-        "rtrace" => cmd_rtrace(&flags, &log),
-        "profile" => cmd_profile(&flags, &log),
-        "explain" => cmd_explain(&flags, &log),
-        "bench-diff" => cmd_bench_diff(&flags, &log),
-        "workload-trace" => cmd_workload_trace(&flags, &log),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match run(&flags, &log) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             log.error(&e);
@@ -130,8 +119,11 @@ USAGE:
                     [--points N] [--eps F] [--jsonl FILE] [--csv FILE] [--surface FILE]
   deeppower bench-diff --baseline FILE --candidate FILE [--tolerance F]
   deeppower workload-trace [--period-s S] [--base-rps R] [--seed K] -o FILE
+  Without --policy, fleet/trace/rtrace/profile/explain train one for --app first:
+                    [--train-seed K] [--episodes N] [--episode-s S]
 
 Global: -v (debug logging) | --quiet (errors only); logs go to stderr, data to stdout.
+A flag the command does not read is an error.
 
 APPS:      xapian | masstree | moses | sphinx | img-dnn
 GOVERNORS: baseline | fixed-<mhz> | thread-controller | retail | gemini | deeppower
@@ -203,10 +195,79 @@ BENCH_*.json baseline; exits non-zero on any gated regression.";
 
 type Flags = HashMap<String, String>;
 
+type Handler = fn(&Flags, &Logger) -> Result<(), String>;
+
+/// Every command with its handler and the flags it reads, space
+/// separated (`-o` is `out`). Commands that call [`policy_or_train`]
+/// list the five flags it reads first. Every command also accepts
+/// `--quiet` and `-v`/`--verbose`; any other flag is an error.
+const COMMANDS: &[(&str, Handler, &str)] = &[
+    (
+        "train",
+        cmd_train,
+        "app episodes episode-s peak-load seed out",
+    ),
+    ("eval", cmd_eval, "policy duration-s peak-load seed"),
+    (
+        "compare",
+        cmd_compare,
+        "app duration-s seed train-seed threads telemetry",
+    ),
+    (
+        "grid",
+        cmd_grid,
+        "apps governors seeds duration-s peak-load workload threads out telemetry",
+    ),
+    (
+        "robustness",
+        cmd_robustness,
+        "app governors scenario duration-s peak-load seed threads out \
+         queue-policy queue-capacity retry-prob",
+    ),
+    (
+        "fleet",
+        cmd_fleet,
+        "policy app train-seed episodes episode-s \
+         nodes balancer profiles duration-s peak-load seed fault overload monitor \
+         trace trace-sample trace-exemplars flight-dump slo health threads out telemetry",
+    ),
+    ("monitor", cmd_monitor, "input slo app out log"),
+    (
+        "trace",
+        cmd_trace,
+        "policy app train-seed episodes episode-s duration-s peak-load seed out csv",
+    ),
+    (
+        "rtrace",
+        cmd_rtrace,
+        "policy app train-seed episodes episode-s \
+         input scenario sample exemplars nodes duration-s peak-load seed slo flight-dump out",
+    ),
+    (
+        "profile",
+        cmd_profile,
+        "policy app train-seed episodes episode-s duration-s peak-load seed out table",
+    ),
+    (
+        "explain",
+        cmd_explain,
+        "policy app train-seed episodes episode-s \
+         duration-s peak-load seed points eps jsonl csv surface",
+    ),
+    ("bench-diff", cmd_bench_diff, "baseline candidate tolerance"),
+    (
+        "workload-trace",
+        cmd_workload_trace,
+        "period-s base-rps seed out",
+    ),
+];
+
 /// Flags that take no value; their presence maps to `"true"`.
 const BOOL_FLAGS: &[&str] = &["quiet", "verbose", "monitor", "trace"];
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse `args` into flags, rejecting any flag outside `accepted`
+/// (one entry of [`COMMANDS`]) and the global `--quiet`/`--verbose`.
+fn parse_flags(args: &[String], cmd: &str, accepted: &str) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -216,6 +277,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             s if s.starts_with("--") => s.trim_start_matches("--").to_string(),
             other => return Err(format!("unexpected argument `{other}`")),
         };
+        let known = ["quiet", "verbose"].contains(&key.as_str())
+            || accepted.split_whitespace().any(|f| f == key);
+        if !known {
+            return Err(format!("unknown flag `{a}` for `{cmd}`"));
+        }
         if BOOL_FLAGS.contains(&key.as_str()) {
             out.insert(key, "true".to_string());
             continue;
@@ -508,7 +574,8 @@ fn cmd_grid(flags: &Flags, log: &Logger) -> Result<(), String> {
 }
 
 /// Governors × fault-scenarios degradation sweep. Every requested
-/// governor runs plain *and* wrapped in the [`SafetyGovernor`] layer
+/// governor runs plain *and* wrapped in the
+/// [`SafetyGovernor`](deeppower_core::SafetyGovernor) layer
 /// (`<governor>+safe` rows), across the five seeded fault scenarios;
 /// deltas in the table are against the same row-group's fault-free run.
 fn cmd_robustness(flags: &Flags, log: &Logger) -> Result<(), String> {

@@ -371,3 +371,24 @@ fn fleet_flight_dump_without_trace_fails() {
     ]);
     assert_clean_failure(&out, "--flight-dump needs --trace --monitor");
 }
+
+#[test]
+fn misspelled_flag_fails_and_names_flag_and_command() {
+    let csv = "/tmp/deeppower-cli-errors-trace.csv";
+    let _ = std::fs::remove_file(csv);
+    let out = deeppower(&["workload-trace", "--perod-s", "10", "-o", csv]);
+    assert_clean_failure(&out, "unknown flag `--perod-s` for `workload-trace`");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.lines().nth(1).unwrap_or(""),
+        "",
+        "diagnostic must be one line:\n{stderr}"
+    );
+    assert!(
+        !Path::new(csv).exists(),
+        "a rejected command still wrote its output"
+    );
+    // A flag another command reads is still unknown here.
+    let out = deeppower(&["eval", "--threads", "2"]);
+    assert_clean_failure(&out, "unknown flag `--threads` for `eval`");
+}

@@ -88,7 +88,7 @@ pub struct NodeCapacity {
     /// Physical cores retiring work in parallel.
     pub cores: usize,
     /// The node's own DVFS floor — the frequency the conservative drain
-    /// estimate assumes (see [`DRAIN_FRACTION`]).
+    /// estimate assumes (see `DRAIN_FRACTION`).
     pub floor_mhz: u32,
 }
 

@@ -68,10 +68,6 @@ impl Coordinator {
         Self::new(members, &policies)
     }
 
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// One grouped batched pass per profile: gather each group's rows
     /// from `states`, batch them through the group's actor, scatter
     /// the clamped [`ControllerParams`] into `actions` by node index.

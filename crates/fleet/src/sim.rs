@@ -37,7 +37,7 @@ use deeppower_simd_server::{
     RunOptions, Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
 };
 use deeppower_telemetry::{
-    merge_gauges, FleetMonitor, MonitorConfig, MonitorSink, Profiler, Recorder, Span, TracePlan,
+    FleetMonitor, MonitorConfig, MonitorSink, Profiler, Recorder, Span, TracePlan,
 };
 use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
@@ -254,8 +254,7 @@ pub struct FleetResult {
     pub fleet_p95_ms: f64,
     pub fleet_p99_ms: f64,
     pub fleet_timeout_rate: f64,
-    /// Deepest any node's queue got — a max-merge across nodes (the
-    /// gauge-policy fold; last-write merging under-reported this).
+    /// Deepest any node's queue got: the max over the nodes' peaks.
     pub fleet_peak_queue_depth: u64,
     pub per_node: Vec<NodeSummary>,
 }
@@ -748,15 +747,7 @@ fn assemble(
     let mut total_energy_j = 0.0;
     let mut total_power_w = 0.0;
     let (mut total_goodput, mut total_wasted, mut total_shed) = (0u64, 0u64, 0u64);
-    // Fleet gauges fold through the per-key merge policy — "peak" keys
-    // take the max across nodes, where a last-write fold would report
-    // whichever node happened to merge last.
-    let mut fleet_gauges: std::collections::BTreeMap<&'static str, f64> = Default::default();
     for (node, sim) in results.into_iter().enumerate() {
-        merge_gauges(
-            &mut fleet_gauges,
-            &[("queue.peak_depth", sim.peak_queue_depth as f64)],
-        );
         let s = &sim.stats;
         total_goodput += sim.goodput;
         total_wasted += sim.wasted;
@@ -802,7 +793,11 @@ fn assemble(
         fleet_p95_ms: ms(fleet.p95_ns),
         fleet_p99_ms: ms(fleet.p99_ns),
         fleet_timeout_rate: fleet.timeout_rate(),
-        fleet_peak_queue_depth: fleet_gauges.get("queue.peak_depth").copied().unwrap_or(0.0) as u64,
+        fleet_peak_queue_depth: per_node
+            .iter()
+            .map(|n| n.peak_queue_depth)
+            .max()
+            .unwrap_or(0),
         per_node,
     }
 }

@@ -3,7 +3,7 @@
 //! The networks in this repository are tiny (tens of units per layer,
 //! batches of at most a few hundred rows), so the kernels favour clarity
 //! over blocking/tiling heroics — but the inner loops are hand-rolled
-//! portable SIMD: explicit [`LANES`]-wide chunked lanes (fixed-size
+//! portable SIMD: explicit `LANES`-wide chunked lanes (fixed-size
 //! array chunks the compiler lowers to vector registers on any target,
 //! no `std::simd`, no intrinsics, no dependencies). All dimension
 //! mismatches panic — shape errors here are programming bugs, not runtime
@@ -208,7 +208,7 @@ impl Matrix {
 
     /// [`Matrix::matmul`] into a caller-provided output (reshaped as
     /// needed). Blocked over K: the kernel walks the RHS in panels of
-    /// [`Matrix::K_BLOCK`] rows so each panel is reused across all LHS
+    /// `K_BLOCK` rows so each panel is reused across all LHS
     /// rows. Per output element the accumulation still runs in ascending
     /// K order, so the result is bit-identical to the naive ikj loop.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {

@@ -59,16 +59,6 @@ impl Sequential {
         Self { stages }
     }
 
-    pub fn push_linear(&mut self, l: Linear) -> &mut Self {
-        self.stages.push(Stage::Linear(l));
-        self
-    }
-
-    pub fn push_activation(&mut self, a: Activation) -> &mut Self {
-        self.stages.push(Stage::Activation(a));
-        self
-    }
-
     /// Training forward pass (caches intermediates).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut cur = x.clone();

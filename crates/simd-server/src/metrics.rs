@@ -3,7 +3,6 @@
 //! figures.
 
 use crate::clock::{Nanos, MILLISECOND};
-use deeppower_telemetry::LatencyRecorder;
 use serde::{Deserialize, Serialize};
 
 /// Completion record for one request.
@@ -138,10 +137,6 @@ pub struct MetricsCollector {
     /// unbounded, so this is the only backpressure signal a plain run
     /// surfaces).
     pub peak_queue_depth: u64,
-    /// Incremental latency aggregator: O(1) insert, O(buckets)
-    /// percentile reads, feeding run-so-far snapshots without
-    /// re-sorting `records` (see [`quick_stats`](Self::quick_stats)).
-    pub latency: LatencyRecorder,
 }
 
 impl MetricsCollector {
@@ -163,29 +158,11 @@ impl MetricsCollector {
         if rec.timed_out {
             self.timeouts += 1;
         }
-        self.latency.record(rec.latency, rec.timed_out);
         self.records.push(rec);
     }
 
     pub fn stats(&self) -> LatencyStats {
         LatencyStats::from_records(&self.records)
-    }
-
-    /// Run-so-far stats from the incremental recorder. Count, mean, max
-    /// and timeouts are exact; percentiles are histogram bucket bounds
-    /// (within one log-bucket, ≤ 6.25 % relative error). This is the
-    /// periodic-snapshot path: unlike [`stats`](Self::stats) it never
-    /// clones or re-sorts the record vector.
-    pub fn quick_stats(&self) -> LatencyStats {
-        LatencyStats {
-            count: self.latency.count(),
-            mean_ns: self.latency.mean_ns(),
-            p50_ns: self.latency.percentile_ns(0.50),
-            p95_ns: self.latency.percentile_ns(0.95),
-            p99_ns: self.latency.percentile_ns(0.99),
-            max_ns: self.latency.max_ns(),
-            timeouts: self.latency.timeouts(),
-        }
     }
 }
 
@@ -273,28 +250,6 @@ mod tests {
         assert!(std::panic::catch_unwind(|| percentile_sorted(&[1], -0.1)).is_err());
     }
 
-    #[test]
-    fn quick_stats_tracks_exact_stats() {
-        let mut c = MetricsCollector::new();
-        for i in 1..=500u64 {
-            c.on_completion(rec(i * 10_000, i % 100 == 0));
-        }
-        let exact = c.stats();
-        let quick = c.quick_stats();
-        assert_eq!(quick.count, exact.count);
-        assert_eq!(quick.timeouts, exact.timeouts);
-        assert_eq!(quick.max_ns, exact.max_ns);
-        assert!((quick.mean_ns - exact.mean_ns).abs() < 1e-6);
-        for (q, e) in [
-            (quick.p50_ns, exact.p50_ns),
-            (quick.p95_ns, exact.p95_ns),
-            (quick.p99_ns, exact.p99_ns),
-        ] {
-            let err = (q as f64 - e as f64).abs() / e as f64;
-            assert!(err < 0.07, "quick {q} vs exact {e} (err {err})");
-        }
-    }
-
     mod percentile_props {
         use super::*;
         use proptest::prelude::*;
@@ -343,17 +298,16 @@ mod tests {
     }
 
     mod monitor_merge_props {
-        use super::*;
         use deeppower_telemetry::{Event, FleetMonitor, Histogram, MonitorConfig, WindowRollup};
         use proptest::prelude::*;
 
         proptest! {
             /// When a single monitor window spans the whole run, the
-            /// fleet-merged window stats equal the collector's
-            /// whole-run `quick_stats` exactly: both read the same
-            /// log-bucket histogram, rebuilding from per-node bucket
-            /// (upper-bound, count) pairs preserves per-bucket counts,
-            /// and both clamp percentiles to the exact extremes.
+            /// fleet-merged window stats equal those of one histogram
+            /// fed every sample exactly: both use the same log-bucket
+            /// scheme, rebuilding from per-node bucket (upper-bound,
+            /// count) pairs preserves per-bucket counts, and both clamp
+            /// percentiles to the exact extremes.
             #[test]
             fn fleet_merged_window_matches_whole_run_quick_stats(
                 lats in proptest::collection::vec(1u64..50_000_000, 1..200),
@@ -361,12 +315,14 @@ mod tests {
             ) {
                 let samples: Vec<(u64, bool)> =
                     lats.into_iter().map(|l| (l, l % 5 == 0)).collect();
-                let mut collector = MetricsCollector::new();
+                let mut whole = Histogram::new();
+                let mut whole_timeouts = 0u64;
                 let mut hists: Vec<Histogram> =
                     (0..nodes).map(|_| Histogram::new()).collect();
                 let mut timeouts = vec![0u64; nodes as usize];
                 for (i, &(lat, timed_out)) in samples.iter().enumerate() {
-                    collector.on_completion(rec(lat, timed_out));
+                    whole.record(lat);
+                    whole_timeouts += u64::from(timed_out);
                     let n = (i as u64 % nodes) as usize;
                     hists[n].record(lat);
                     if timed_out {
@@ -386,15 +342,14 @@ mod tests {
                 let report = mon.finish();
                 prop_assert_eq!(report.window_series.len(), 1);
                 let w = &report.window_series[0];
-                let quick = collector.quick_stats();
-                prop_assert_eq!(w.count, quick.count);
-                prop_assert_eq!(w.timeouts, quick.timeouts);
-                prop_assert_eq!(w.max_ns, quick.max_ns);
-                prop_assert_eq!(w.p50_ns, quick.p50_ns);
-                prop_assert_eq!(w.p95_ns, quick.p95_ns);
-                prop_assert_eq!(w.p99_ns, quick.p99_ns);
+                prop_assert_eq!(w.count, whole.count());
+                prop_assert_eq!(w.timeouts, whole_timeouts);
+                prop_assert_eq!(w.max_ns, whole.max());
+                prop_assert_eq!(w.p50_ns, whole.percentile(0.50));
+                prop_assert_eq!(w.p95_ns, whole.percentile(0.95));
+                prop_assert_eq!(w.p99_ns, whole.percentile(0.99));
                 prop_assert!(
-                    (w.mean_ns - quick.mean_ns).abs() <= 1e-6 * quick.mean_ns.max(1.0));
+                    (w.mean_ns - whole.mean()).abs() <= 1e-6 * whole.mean().max(1.0));
             }
         }
     }

@@ -36,6 +36,12 @@ use std::collections::{BTreeMap, VecDeque};
 /// (guards floating-point residue after an exact-advance step).
 const WORK_EPS: f64 = 1e-6;
 
+/// Span of the tumbling telemetry windows (see [`WindowTelemetry`]).
+/// Windows close at governor-tick boundaries, so with millisecond ticks
+/// every node on the same tick grid produces aligned window indices —
+/// the property the fleet health monitor merges on.
+const WINDOW_NS: Nanos = crate::clock::SECOND;
+
 /// Static server parameters.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -101,13 +107,6 @@ pub struct RunOptions {
     /// classic open-loop, unbounded-queue engine; see
     /// [`crate::overload`]).
     pub overload: OverloadPlan,
-    /// Tumbling-window span for [`event::WindowRollup`] emission when a
-    /// recorder is enabled (0 disables rollups). Windows close at
-    /// governor-tick boundaries, so with the default one-second window
-    /// and millisecond ticks every node on the same tick grid produces
-    /// aligned window indices — the property the fleet health monitor
-    /// merges on.
-    pub window_ns: Nanos,
     /// Deterministic request-lifecycle tracing (off by default; see
     /// [`deeppower_telemetry::trace`]). Active only with an enabled
     /// recorder, and never perturbs results.
@@ -121,7 +120,6 @@ impl Default for RunOptions {
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),
             overload: OverloadPlan::none(),
-            window_ns: crate::clock::SECOND,
             rtrace: TracePlan::none(),
         }
     }
@@ -160,15 +158,15 @@ pub struct SimResult {
     pub peak_queue_depth: u64,
 }
 
-/// Tumbling-window accumulator behind the per-window
-/// [`event::WindowRollup`] stream the fleet health monitor consumes.
-/// Active only when the session's recorder is enabled *and*
-/// `RunOptions::window_ns > 0`; when inactive every hook is one branch,
-/// preserving the telemetry-never-perturbs-results contract (windows
-/// close at boundaries the engine visits anyway).
+/// The engine's telemetry clock: tumbling [`WINDOW_NS`] windows behind
+/// the per-window [`event::WindowRollup`] stream the fleet health
+/// monitor consumes, and the run-so-far [`event::LatencySnapshot`]
+/// emitted just before each full window rolls. Active only when the
+/// session's recorder is enabled; when inactive every hook is one
+/// branch, preserving the telemetry-never-perturbs-results contract
+/// (windows close at boundaries the engine visits anyway).
 struct WindowTelemetry {
     enabled: bool,
-    window_ns: Nanos,
     /// Open-window start and close boundary.
     start: Nanos,
     next: Nanos,
@@ -176,6 +174,8 @@ struct WindowTelemetry {
     index: u64,
     lat: Histogram,
     timeouts: u64,
+    /// Run-so-far latencies behind the snapshots.
+    run_lat: Histogram,
     /// Per-window overload counters (goodput / wasted completions,
     /// requests shed at admission).
     good: u64,
@@ -189,15 +189,15 @@ struct WindowTelemetry {
 }
 
 impl WindowTelemetry {
-    fn new(enabled: bool, window_ns: Nanos) -> Self {
+    fn new(enabled: bool) -> Self {
         Self {
-            enabled: enabled && window_ns > 0,
-            window_ns,
+            enabled,
             start: 0,
-            next: window_ns,
+            next: WINDOW_NS,
             index: 0,
             lat: Histogram::new(),
             timeouts: 0,
+            run_lat: Histogram::new(),
             good: 0,
             wasted: 0,
             shed: 0,
@@ -211,6 +211,7 @@ impl WindowTelemetry {
     fn on_completion(&mut self, latency_ns: Nanos, timed_out: bool, wasted: bool) {
         if self.enabled {
             self.lat.record(latency_ns);
+            self.run_lat.record(latency_ns);
             if timed_out {
                 self.timeouts += 1;
             }
@@ -234,6 +235,22 @@ impl WindowTelemetry {
         let sum: u64 = cores.iter().map(|c| c.freq_mhz as u64).sum();
         self.freq_sum += sum as f64 / cores.len() as f64;
         self.freq_samples += 1;
+    }
+
+    /// Emit the run-so-far latency snapshot (percentiles are histogram
+    /// bucket bounds; count and `timeouts`, the run's total, are exact).
+    fn snapshot(&self, now: Nanos, timeouts: u64, rec: &Recorder) {
+        let h = &self.run_lat;
+        rec.emit(|| {
+            Event::LatencySnapshot(event::LatencySnapshot {
+                t: now,
+                count: h.count(),
+                p50_ns: h.percentile(0.50),
+                p95_ns: h.percentile(0.95),
+                p99_ns: h.percentile(0.99),
+                timeouts,
+            })
+        });
     }
 
     /// Close the open window at `now`, emit its rollup, and open the
@@ -276,7 +293,7 @@ impl WindowTelemetry {
         rec.emit(|| Event::WindowRollup(rollup));
         self.index += 1;
         self.start = now;
-        self.next = now + self.window_ns;
+        self.next = now + WINDOW_NS;
         self.lat.reset();
         self.timeouts = 0;
         self.good = 0;
@@ -351,11 +368,14 @@ impl Server {
     /// batches their policy inference).
     ///
     /// An enabled `rec` receives per-core [`event::CoreResidency`] at
-    /// run end, once-per-simulated-second [`event::LatencySnapshot`]s
-    /// (read at governor-tick boundaries from the incremental latency
-    /// recorder), and, gated on the [`TraceConfig`] knobs that bound
-    /// their volume: [`event::FreqTransition`] on every applied frequency
-    /// change (when `freq_sample_ns > 0`) and
+    /// run end and, once per simulated second at the first governor
+    /// tick at or past each window boundary, a run-so-far
+    /// [`event::LatencySnapshot`] followed by that window's
+    /// [`event::WindowRollup`] (the trailing partial window rolls at run
+    /// end, without a snapshot). Two streams are gated on the
+    /// [`TraceConfig`] knobs that bound their volume:
+    /// [`event::FreqTransition`] on every applied frequency change (when
+    /// `freq_sample_ns > 0`) and
     /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks (when
     /// `request_marks` is set). Telemetry never adds event times to the
     /// simulation (all emission happens at boundaries the engine visits
@@ -398,10 +418,7 @@ impl Server {
             now: 0,
             arr_idx: 0,
             next_tick: 0,
-            // Latency snapshots piggyback on governor ticks (existing
-            // event times), at most one per simulated second.
-            next_snapshot: crate::clock::SECOND,
-            window: WindowTelemetry::new(rec.enabled(), opts.window_ns),
+            window: WindowTelemetry::new(rec.enabled()),
             rtrace: RequestTracer::new(opts.rtrace, rec.enabled()),
             next_freq_sample: if opts.trace.freq_sample_ns > 0 {
                 0
@@ -458,7 +475,6 @@ pub struct Session<'a> {
     now: Nanos,
     arr_idx: usize,
     next_tick: Nanos,
-    next_snapshot: Nanos,
     window: WindowTelemetry,
     /// Request-lifecycle tracer (inactive plan = one branch per hook).
     rtrace: RequestTracer,
@@ -545,8 +561,6 @@ impl Session<'_> {
             self.rtrace.roll(self.rec);
         }
         self.freq_telem.finish(self.now, &self.cores, self.rec);
-        self.rec
-            .set("queue.peak_depth", self.metrics.peak_queue_depth as f64);
         let oc = self.overload.counters;
         SimResult {
             stats: self.metrics.stats(),
@@ -813,27 +827,14 @@ impl Session<'_> {
                 self.overload.set_threshold(frac);
             }
             self.next_tick = now + self.opts.tick_ns;
-            if self.rec.enabled() && now >= self.next_snapshot {
-                let s = self.metrics.quick_stats();
-                self.rec.emit(|| {
-                    Event::LatencySnapshot(event::LatencySnapshot {
-                        t: now,
-                        count: s.count,
-                        p50_ns: s.p50_ns,
-                        p95_ns: s.p95_ns,
-                        p99_ns: s.p99_ns,
-                        timeouts: s.timeouts,
-                    })
-                });
-                self.next_snapshot = now + crate::clock::SECOND;
-            }
             if self.window.enabled {
                 self.window.on_tick(&self.cores);
                 if now >= self.window.next {
                     let queue_len = self.queue.len() as u64;
                     let energy_uj = self.energy.read_energy_uj();
-                    // Exemplar traces first, then the rollup that links
-                    // to them (stream order the monitor relies on).
+                    // Snapshot, exemplar traces, then the rollup that
+                    // links to them (stream order the monitor relies on).
+                    self.window.snapshot(now, self.metrics.timeouts, self.rec);
                     let exemplars = self.rtrace.roll(self.rec);
                     self.window
                         .roll(now, queue_len, energy_uj, self.rec, exemplars);
@@ -1627,27 +1628,6 @@ mod tests {
                 assert_eq!(w.bucket_ubs.len(), w.bucket_counts.len());
             }
         }
-
-        // window_ns = 0 disables rollups without touching results.
-        let mut gov2 = FixedFrequency { mhz: 2100 };
-        let rec2 = deeppower_telemetry::Recorder::ring(1 << 14);
-        let res2 = server
-            .session(
-                &arrivals,
-                &mut gov2,
-                RunOptions {
-                    window_ns: 0,
-                    ..Default::default()
-                },
-                &rec2,
-            )
-            .finish();
-        assert_eq!(res.records, res2.records);
-        assert_eq!(res.energy_j.to_bits(), res2.energy_j.to_bits());
-        assert!(rec2
-            .drain_events()
-            .iter()
-            .all(|e| e.kind() != "WindowRollup"));
     }
 
     #[test]
@@ -2179,6 +2159,93 @@ mod tests {
                 && t.span_total_ns(deeppower_telemetry::SPAN_BACKOFF) > 0
                 && t.spans_named(deeppower_telemetry::SPAN_SHED).count() > 0),
             "no retry chain with shed + backoff spans"
+        );
+    }
+
+    /// FNV-1a over a serialized artifact: a compact, exact pin.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the engine's whole event stream on a run that exercises
+    /// every emitter at once: millisecond traces (frequency transitions
+    /// and request marks), a bounded queue with retries, fault
+    /// injection and sampled request tracing over several monitor
+    /// windows. The digest was captured before the engine's latency
+    /// snapshots moved onto the window clock; if it moves, the stream
+    /// changed.
+    #[test]
+    fn engine_event_stream_reproduces_pinned_digest() {
+        let server = Server::new(ServerConfig::paper_default(2));
+        // Bursts of four simultaneous requests every 4 ms over 3.6 s.
+        let arrivals: Vec<Request> = (0..3600)
+            .map(|i| req(i, (i / 4) * 4 * MILLISECOND, 900_000 + (i % 11) * 150_000))
+            .collect();
+        let opts = RunOptions {
+            trace: TraceConfig::millisecond(),
+            faults: crate::FaultPlan {
+                seed: 5,
+                dvfs_fail_prob: 0.1,
+                dvfs_spike_prob: 0.1,
+                dvfs_spike_min_ns: 20_000,
+                dvfs_spike_max_ns: 200_000,
+                stall_period_ns: 250 * MILLISECOND,
+                stall_duration_ns: MILLISECOND,
+                sensor_drop_prob: 0.05,
+                power_noise_frac: 0.05,
+            },
+            overload: crate::OverloadPlan {
+                seed: 9,
+                queue_capacity: 3,
+                client_timeout_ns: 4 * MILLISECOND,
+                retry_prob: 0.5,
+                max_attempts: 3,
+                retry_backoff_ns: 600_000,
+                retry_jitter_ns: 300_000,
+                ..crate::OverloadPlan::none()
+            },
+            rtrace: TracePlan::sampled(0.05, 2, 13),
+            ..Default::default()
+        };
+        struct Stepper;
+        impl Governor for Stepper {
+            fn on_tick(&mut self, v: &ServerView<'_>, cmds: &mut FreqCommands) {
+                let mhz = if (v.now / (7 * MILLISECOND)).is_multiple_of(2) {
+                    1200
+                } else {
+                    2100
+                };
+                for i in 0..v.cores.len() {
+                    cmds.set(i, mhz);
+                }
+            }
+        }
+        let rec = deeppower_telemetry::Recorder::ring(1 << 18);
+        let res = server.session(&arrivals, &mut Stepper, opts, &rec).finish();
+        assert_eq!(rec.dropped_events(), 0);
+        let events = rec.drain_events();
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+        assert!(count("LatencySnapshot") >= 3);
+        assert!(count("WindowRollup") >= 3);
+        for kind in [
+            "FreqTransition",
+            "RequestDispatch",
+            "RequestComplete",
+            "Shed",
+            "Retry",
+            "FaultInjected",
+            "RequestTrace",
+            "CoreResidency",
+        ] {
+            assert!(count(kind) > 0, "no {kind} events");
+        }
+        assert!(res.shed > 0 && res.retries > 0 && res.faults_injected > 0);
+        let digest = fnv(&deeppower_telemetry::to_jsonl(&events));
+        assert_eq!(
+            digest, 0xd899_1c00_8b83_aba3,
+            "engine event stream digest {digest:#018x}"
         );
     }
 

@@ -88,8 +88,9 @@ pub struct RequestComplete {
 }
 
 /// Periodic snapshot of the run-so-far latency distribution, read from
-/// the server's incremental [`crate::LatencyRecorder`] (percentiles are
-/// histogram upper bounds, within one log-bucket of exact).
+/// a run-long [`crate::Histogram`] as each one-second telemetry window
+/// closes (percentiles are histogram upper bounds, within one
+/// log-bucket of exact).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     pub t: u64,

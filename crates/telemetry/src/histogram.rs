@@ -1,4 +1,4 @@
-//! Log-bucketed histograms and the incremental latency recorder.
+//! Log-bucketed histograms.
 //!
 //! The bucket scheme is HdrHistogram-style: each power-of-two range is
 //! split into `2^SUB_BITS` linear sub-buckets, so the relative
@@ -226,56 +226,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-/// Incremental latency aggregator: O(1) insert, O(buckets) reads.
-///
-/// This is the replacement for calling `LatencyStats::from_records`
-/// (which clones and re-sorts every record) on periodic paths: the
-/// server's `MetricsCollector` feeds every completion into one of
-/// these, and run-so-far snapshots read percentiles straight from the
-/// histogram.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyRecorder {
-    hist: Histogram,
-    timeouts: u64,
-}
-
-impl LatencyRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn record(&mut self, latency_ns: u64, timed_out: bool) {
-        self.hist.record(latency_ns);
-        if timed_out {
-            self.timeouts += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Exact mean latency in ns.
-    pub fn mean_ns(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// Exact max latency in ns.
-    pub fn max_ns(&self) -> u64 {
-        self.hist.max()
-    }
-
-    /// Histogram-quantized percentile (see [`Histogram::percentile`]).
-    pub fn percentile_ns(&self, q: f64) -> u64 {
-        self.hist.percentile(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,17 +263,6 @@ mod tests {
             let err = (got as f64 - exact as f64).abs() / exact as f64;
             assert!(err < 0.07, "p{q}: got {got}, exact {exact}, err {err}");
         }
-    }
-
-    #[test]
-    fn latency_recorder_counts_timeouts() {
-        let mut r = LatencyRecorder::new();
-        r.record(1000, false);
-        r.record(9000, true);
-        assert_eq!(r.count(), 2);
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.max_ns(), 9000);
-        assert!((r.mean_ns() - 5000.0).abs() < 1e-9);
     }
 
     proptest! {

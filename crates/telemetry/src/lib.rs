@@ -14,17 +14,16 @@
 //!   branch, so instrumented hot paths cost nothing when telemetry is
 //!   off (asserted by the `telemetry_overhead` bench). Enabled
 //!   recorders share a [`TelemetrySink`] (by default a preallocated
-//!   [`RingSink`]) plus counters, gauges and log-bucketed
-//!   [`Histogram`]s.
+//!   [`RingSink`]) plus named counters.
 //! * [`export`] — JSONL (the artifact format written by
 //!   `deeppower grid --telemetry` and `deeppower trace`) and CSV
 //!   exporters, plus series reconstruction from transition events.
 //! * [`Logger`] — the leveled logger behind the CLI's `-v`/`--quiet`
 //!   flags; log volume is counted through the recorder.
-//! * [`LatencyRecorder`] — an incremental, histogram-backed latency
-//!   aggregator: O(1) insert and O(buckets) percentile reads, replacing
-//!   sort-a-fresh-clone percentile computation on periodic paths.
-//!
+//! * [`Histogram`] — a log-bucketed histogram: O(1) insert and
+//!   O(buckets) percentile reads. The engine's per-window rollups and
+//!   run-so-far latency snapshots read it instead of sorting records,
+//!   and the fleet monitor merges it bucket by bucket.
 //! * [`Profiler`] — hierarchical wall-clock span profiling for the hot
 //!   paths (engine phases, DDPG update stages, fleet lockstep epochs,
 //!   harness jobs), with per-phase aggregate tables and Chrome
@@ -59,11 +58,11 @@ pub use export::{
     episode_events, freq_series, from_jsonl, steps_to_csv, to_jsonl, STEP_CSV_HEADER,
 };
 pub use fs::atomic_write;
-pub use histogram::{Histogram, HistogramSnapshot, LatencyRecorder};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use logger::{LogLevel, Logger};
 pub use monitor::{
-    gauge_merge_policy, merge_gauges, AlertRecord, AnomalyRecord, FleetMonitor, GaugeMerge,
-    HealthReport, MonitorConfig, MonitorSink, SloOutcome, WindowSummary,
+    AlertRecord, AnomalyRecord, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, SloOutcome,
+    WindowSummary,
 };
 pub use profile::{
     from_chrome_trace, render_phase_table, ChromeEvent, PhaseRow, Profiler, Span, SpanRecord,

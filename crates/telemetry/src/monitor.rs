@@ -10,7 +10,7 @@
 //! * each window gets a per-objective **burn rate** (how fast it burns
 //!   the error budget; 1.0 = exactly on budget) and an instantaneous
 //!   violation check, emitted as typed `SloViolation` events;
-//! * every [`BurnRateRule`] runs as a fire/resolve state machine over
+//! * every [`BurnRateRule`](crate::BurnRateRule) runs as a fire/resolve state machine over
 //!   the trailing burn averages, emitting `Alert`/`AlertResolved`
 //!   events — alerts carry an **incident timeline**: the
 //!   `FaultInjected`/`SafetyAction`/`DrlStep` context observed in the
@@ -564,9 +564,9 @@ impl MergedWindow {
     }
 
     /// Merged percentile, clamped to the exact extremes — when one
-    /// window spans a whole single-node run this reproduces the
-    /// server's `quick_stats` percentiles exactly (asserted by
-    /// proptest in `simd-server`).
+    /// window spans a whole run this reproduces the percentiles of one
+    /// histogram fed every sample exactly (asserted by proptest in
+    /// `simd-server`).
     fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             0
@@ -855,67 +855,6 @@ impl HealthReport {
             ));
         }
         out
-    }
-}
-
-/// How one gauge key folds when per-node [`crate::Recorder`] snapshots
-/// are merged into a fleet view.
-///
-/// Gauges are last-write *within* one node's recorder — correct for a
-/// single stream — but folding node snapshots with the same rule
-/// silently keeps whichever node happened to fold last. A peak gauge
-/// (e.g. `queue.peak_depth`) under-reports the true fleet peak that
-/// way; per-key policies fix the fold.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GaugeMerge {
-    /// Fleet value is the max across nodes (peaks, high-water marks).
-    Max,
-    /// Fleet value is the min across nodes (floors, low-water marks).
-    Min,
-    /// Fleet value is the sum across nodes (totals).
-    Sum,
-    /// Last write wins — only for keys where cross-node aggregation is
-    /// meaningless (a genuinely per-run scalar).
-    Last,
-}
-
-/// The merge policy for a gauge key, by naming convention: `peak`/`max`
-/// segments aggregate by max, `floor`/`min` by min, `total`/`sum` by
-/// sum, anything else stays last-write.
-pub fn gauge_merge_policy(key: &str) -> GaugeMerge {
-    let has = |needle: &str| key.split(['.', '_', '-']).any(|seg| seg == needle);
-    if has("peak") || has("max") {
-        GaugeMerge::Max
-    } else if has("floor") || has("min") {
-        GaugeMerge::Min
-    } else if has("total") || has("sum") {
-        GaugeMerge::Sum
-    } else {
-        GaugeMerge::Last
-    }
-}
-
-/// Fold one node's gauge snapshot into a fleet accumulator under the
-/// per-key [`gauge_merge_policy`]. Max/Min/Sum keys are
-/// order-independent across nodes; only `Last` keys depend on fold
-/// order (callers fold in ascending node order for determinism).
-pub fn merge_gauges(into: &mut BTreeMap<&'static str, f64>, node_gauges: &[(&'static str, f64)]) {
-    for &(key, value) in node_gauges {
-        match into.entry(key) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let cur = *e.get();
-                let merged = match gauge_merge_policy(key) {
-                    GaugeMerge::Max => cur.max(value),
-                    GaugeMerge::Min => cur.min(value),
-                    GaugeMerge::Sum => cur + value,
-                    GaugeMerge::Last => value,
-                };
-                e.insert(merged);
-            }
-        }
     }
 }
 
@@ -1230,40 +1169,6 @@ mod tests {
             }
             prop_assert_eq!(reference.finish().to_json(), shuffled.finish().to_json());
         }
-    }
-
-    #[test]
-    fn gauge_merge_uses_per_key_policy_not_last_write() {
-        // Regression: folding per-node gauge snapshots by last-write
-        // under-reported the fleet peak — a node with a small peak
-        // folding last clobbered the true maximum.
-        let node0 = vec![("queue.peak_depth", 40.0), ("load", 0.7)];
-        let node1 = vec![("queue.peak_depth", 9.0), ("load", 0.2)];
-        let mut fwd = BTreeMap::new();
-        merge_gauges(&mut fwd, &node0);
-        merge_gauges(&mut fwd, &node1);
-        // The fleet peak is node0's 40 even though node1 folded last.
-        assert_eq!(fwd.get("queue.peak_depth"), Some(&40.0));
-        // Peak keys are order-independent.
-        let mut rev = BTreeMap::new();
-        merge_gauges(&mut rev, &node1);
-        merge_gauges(&mut rev, &node0);
-        assert_eq!(fwd.get("queue.peak_depth"), rev.get("queue.peak_depth"));
-        // Plain keys stay last-write.
-        assert_eq!(fwd.get("load"), Some(&0.2));
-        assert_eq!(rev.get("load"), Some(&0.7));
-    }
-
-    #[test]
-    fn gauge_policy_follows_key_naming_convention() {
-        assert_eq!(gauge_merge_policy("queue.peak_depth"), GaugeMerge::Max);
-        assert_eq!(gauge_merge_policy("freq.max_mhz"), GaugeMerge::Max);
-        assert_eq!(gauge_merge_policy("freq.min_mhz"), GaugeMerge::Min);
-        assert_eq!(gauge_merge_policy("energy.total_j"), GaugeMerge::Sum);
-        assert_eq!(gauge_merge_policy("power.sum"), GaugeMerge::Sum);
-        assert_eq!(gauge_merge_policy("load"), GaugeMerge::Last);
-        // Substrings that are not whole segments do not trip the policy.
-        assert_eq!(gauge_merge_policy("speaker.level"), GaugeMerge::Last);
     }
 
     #[test]

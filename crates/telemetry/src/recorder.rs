@@ -4,7 +4,7 @@
 //! either *disabled* (`Recorder::disabled()`) — a `None` inside, so
 //! every emission is one branch and no allocation ever happens — or
 //! backed by shared state holding a [`TelemetrySink`] for the event
-//! stream plus counters, gauges and log-bucketed histograms.
+//! stream plus named counters.
 //!
 //! Recorders are deliberately `!Send`: the harness gives every job its
 //! own recorder on the worker thread that runs it and drains the events
@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::event::Event;
-use crate::histogram::Histogram;
 
 /// Destination for the typed event stream.
 pub trait TelemetrySink {
@@ -35,7 +34,7 @@ pub trait TelemetrySink {
 
 /// Discards every event. Used by the overhead bench to measure the
 /// cost of an *enabled* recorder minus any buffering work, and as the
-/// stand-in sink wherever only counters/histograms matter.
+/// stand-in sink wherever only counters matter.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
 
@@ -102,8 +101,6 @@ impl TelemetrySink for RingSink {
 struct Inner {
     sink: Box<dyn TelemetrySink>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Cheap, cloneable telemetry handle. See the module docs.
@@ -129,8 +126,6 @@ impl Recorder {
             inner: Some(Rc::new(RefCell::new(Inner {
                 sink,
                 counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
             }))),
         }
     }
@@ -154,27 +149,6 @@ impl Recorder {
     pub fn add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
             *inner.borrow_mut().counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    /// Set the named gauge to `value`.
-    #[inline]
-    pub fn set(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauges.insert(name, value);
-        }
-    }
-
-    /// Record `value` into the named log-bucketed histogram.
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .histograms
-                .entry(name)
-                .or_insert_with(Histogram::new)
-                .record(value);
         }
     }
 
@@ -205,26 +179,6 @@ impl Recorder {
             Some(inner) => inner.borrow().counters.get(name).copied().unwrap_or(0),
             None => 0,
         }
-    }
-
-    /// Snapshot of the gauges (name order).
-    pub fn gauges(&self) -> Vec<(&'static str, f64)> {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Clone of one histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.borrow().histograms.get(name).cloned())
     }
 
     /// Events the sink discarded due to capacity.
@@ -264,11 +218,9 @@ mod tests {
         assert!(!r.enabled());
         r.emit(|| panic!("payload must not be constructed when disabled"));
         r.add("x", 1);
-        r.observe("h", 5);
         assert!(r.drain_events().is_empty());
         assert!(r.counters().is_empty());
         assert_eq!(r.counter("x"), 0);
-        assert!(r.histogram("h").is_none());
     }
 
     #[test]
@@ -295,12 +247,7 @@ mod tests {
         let r2 = r.clone(); // handles share state
         r.add("steps", 2);
         r2.add("steps", 3);
-        r.set("load", 0.7);
-        r.observe("latency", 100);
-        r.observe("latency", 200);
         assert_eq!(r.counter("steps"), 5);
-        assert_eq!(r.gauges(), vec![("load", 0.7)]);
-        assert_eq!(r.histogram("latency").unwrap().count(), 2);
         r.emit(|| ft(1));
         assert_eq!(r2.drain_events().len(), 1);
         assert!(r.drain_events().is_empty());

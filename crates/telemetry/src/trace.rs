@@ -400,9 +400,9 @@ fn promote(
 /// trace stream is a pure function of the run spec.
 ///
 /// Two-tier bookkeeping keeps the hooks off the allocator: an attempt
-/// lives as a `Copy` [`LiteOpen`] record until its chain hits a
+/// lives as a `Copy` `LiteOpen` record until its chain hits a
 /// complication (shed, abandon, retry), at which point the chain is
-/// promoted to a full span-assembling [`Chain`]. A clean completion
+/// promoted to a full span-assembling `Chain`. A clean completion
 /// never allocates — its trace is materialized from timestamps only if
 /// it is actually emitted.
 #[derive(Debug)]

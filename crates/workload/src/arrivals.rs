@@ -64,34 +64,6 @@ pub fn trace_arrivals(spec: &AppSpec, trace: &DiurnalTrace, seed: u64) -> Vec<Re
     out
 }
 
-/// Convenience builder bundling an app, a trace and a seed.
-#[derive(Clone, Debug)]
-pub struct ArrivalGen {
-    pub spec: AppSpec,
-    pub seed: u64,
-}
-
-impl ArrivalGen {
-    pub fn new(spec: AppSpec, seed: u64) -> Self {
-        Self { spec, seed }
-    }
-
-    /// Constant-load arrivals at utilization `load` for `duration_ns`.
-    pub fn at_load(&self, load: f64, duration_ns: Nanos) -> Vec<Request> {
-        constant_rate_arrivals(
-            &self.spec,
-            self.spec.rps_for_load(load),
-            duration_ns,
-            self.seed,
-        )
-    }
-
-    /// Trace-driven arrivals.
-    pub fn from_trace(&self, trace: &DiurnalTrace) -> Vec<Request> {
-        trace_arrivals(&self.spec, trace, self.seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,13 +138,5 @@ mod tests {
         assert_eq!(a, b);
         let c = constant_rate_arrivals(&spec, 100.0, SECOND, 10);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn arrival_gen_wrapper() {
-        let g = ArrivalGen::new(AppSpec::get(App::ImgDnn), 6);
-        let reqs = g.at_load(0.5, SECOND);
-        // capacity = 20 / 1.75 ms ≈ 11 428 rps → at 50 % ≈ 5 714 in 1 s.
-        assert!((5_000..6_500).contains(&reqs.len()), "{}", reqs.len());
     }
 }

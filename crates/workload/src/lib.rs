@@ -28,7 +28,7 @@ pub mod diurnal;
 pub mod trace_io;
 
 pub use apps::{App, AppSpec};
-pub use arrivals::{constant_rate_arrivals, trace_arrivals, ArrivalGen};
+pub use arrivals::{constant_rate_arrivals, trace_arrivals};
 pub use distributions::{Exponential, LogNormal, Pareto};
 pub use diurnal::{DiurnalConfig, DiurnalTrace};
 pub use trace_io::{load_trace_csv, save_trace_csv};
