@@ -327,15 +327,22 @@ mod tests {
             sla: 8_000_000,
             features: 0.5.into(),
         };
-        let res = server.run(
-            &[req],
-            &mut gov,
-            RunOptions {
-                trace: deeppower_simd_server::TraceConfig::millisecond(),
-                ..Default::default()
-            },
+        let rec = deeppower_telemetry::Recorder::ring(1 << 12);
+        let opts = RunOptions {
+            trace: deeppower_simd_server::TraceConfig::freq_and_request_events(),
+            ..Default::default()
+        };
+        let res = server.session(&[req], &mut gov, opts, &rec).finish();
+        assert_eq!(rec.dropped_events(), 0);
+        let initial = server.config().initial_mhz;
+        let series = deeppower_telemetry::freq_series(
+            &rec.drain_events(),
+            0,
+            initial,
+            res.duration_ns,
+            deeppower_simd_server::MILLISECOND,
         );
-        let max_seen = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+        let max_seen = series.iter().map(|&(_, f)| f).max().unwrap();
         assert_eq!(max_seen, 2100, "boost to max never happened");
         assert_eq!(res.stats.count, 1);
     }

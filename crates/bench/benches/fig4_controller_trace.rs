@@ -8,9 +8,8 @@
 //! completes.
 //!
 //! The series is reconstructed from the telemetry event stream
-//! (`FreqTransition` + `RequestDispatch`/`RequestComplete`) rather than
-//! the legacy sampled trace, so the bench exercises the same artifact
-//! pipeline as `deeppower trace`.
+//! (`FreqTransition` + `RequestDispatch`/`RequestComplete`), so the
+//! bench exercises the same artifact pipeline as `deeppower trace`.
 
 use deeppower_bench::{downsample, sparkline};
 use deeppower_core::{ControllerParams, ThreadController};
@@ -59,7 +58,7 @@ fn main() {
             &mut gov,
             RunOptions {
                 tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
+                trace: TraceConfig::freq_and_request_events(),
                 ..Default::default()
             },
             &rec,

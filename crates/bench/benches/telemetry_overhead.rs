@@ -4,10 +4,10 @@
 //! through `Server::session` with a *disabled* recorder, with one backed
 //! by the no-op sink, or with a [`MonitorSink`] feeding a *disabled*
 //! health monitor, must cost within 2% of the plain `run` path. A
-//! disabled recorder is a single `Option` branch per emission site;
-//! `NoopSink` additionally constructs each event payload before
-//! discarding it; a disabled monitor discards after one branch in
-//! `observe`. The ring-buffered full-capture and enabled-monitor costs
+//! disabled recorder is a single `Option` branch per emission site; a
+//! recorder over `NoopSink` builds each event payload and hands it to a
+//! sink that drops it (the enabled path minus buffering); a disabled
+//! monitor discards after one branch in `observe`. The ring-buffered full-capture and enabled-monitor costs
 //! are reported for reference (no assertion — they pay for payload
 //! construction plus buffering / SLO evaluation).
 //!

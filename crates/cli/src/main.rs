@@ -39,8 +39,9 @@ use deeppower_harness::{
 use deeppower_simd_server::{OverloadPlan, QueuePolicy, TraceConfig, MILLISECOND};
 use deeppower_telemetry::{
     atomic_write, from_jsonl, render_phase_table, steps_to_csv, to_jsonl, traces_to_chrome,
-    BurnRateRule, Event, FleetMonitor, FlightRecorder, HealthReport, Logger, MonitorConfig,
-    Profiler, Recorder, RequestTrace, SloSpec, TracePlan, SPAN_BACKOFF, SPAN_QUEUE, SPAN_SERVICE,
+    BurnRateRule, Event, FleetMonitor, FlightRecorder, HealthReport, LogLevel, Logger,
+    MonitorConfig, Profiler, Recorder, RequestTrace, SloSpec, TracePlan, SPAN_BACKOFF, SPAN_QUEUE,
+    SPAN_SERVICE,
 };
 use deeppower_workload::{save_trace_csv, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use std::collections::HashMap;
@@ -57,27 +58,22 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let parsed = COMMANDS
+    // Argument errors and command failures share one diagnostic
+    // format: a single `[error] ...` line, then the usage block.
+    let outcome = COMMANDS
         .iter()
         .find(|c| c.0 == cmd)
         .ok_or_else(|| format!("unknown command `{cmd}`"))
-        .and_then(|&(name, run, accepted)| Ok((run, parse_flags(&args[1..], name, accepted)?)));
-    let (run, flags) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let log = Logger::from_flags(
-        flags.contains_key("quiet"),
-        flags.contains_key("verbose"),
-        Recorder::ring(64),
-    );
-    match run(&flags, &log) {
+        .and_then(|&(name, run, accepted)| {
+            let flags = parse_flags(&args[1..], name, accepted)?;
+            let log =
+                Logger::from_flags(flags.contains_key("quiet"), flags.contains_key("verbose"));
+            run(&flags, &log)
+        });
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            log.error(&e);
+            Logger::new(LogLevel::Error).error(&e);
             eprintln!("\n{USAGE}");
             ExitCode::FAILURE
         }
@@ -991,7 +987,7 @@ fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
         peak,
         duration_s,
         seed,
-        TraceConfig::millisecond(),
+        TraceConfig::freq_and_request_events(),
         &rec,
         &Profiler::disabled(),
     );

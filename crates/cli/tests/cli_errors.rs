@@ -42,6 +42,7 @@ fn no_arguments_prints_usage_and_fails() {
 fn unknown_subcommand_fails() {
     let out = deeppower(&["frobnicate"]);
     assert_clean_failure(&out, "unknown command `frobnicate`");
+    assert_one_line_error(&out);
 }
 
 #[test]
@@ -219,8 +220,9 @@ fn robustness_retry_prob_out_of_range_fails() {
     assert_one_line_error(&out);
 }
 
-/// The diagnostic itself is a single `error: ...` line (the usage block
-/// that follows is separated by a blank line).
+/// The diagnostic itself is a single `[error] ...` line (the usage
+/// block that follows is separated by a blank line). Argument errors and
+/// command failures share the format.
 fn assert_one_line_error(out: &Output) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let first = stderr.lines().next().unwrap_or("");
@@ -378,12 +380,7 @@ fn misspelled_flag_fails_and_names_flag_and_command() {
     let _ = std::fs::remove_file(csv);
     let out = deeppower(&["workload-trace", "--perod-s", "10", "-o", csv]);
     assert_clean_failure(&out, "unknown flag `--perod-s` for `workload-trace`");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr.lines().nth(1).unwrap_or(""),
-        "",
-        "diagnostic must be one line:\n{stderr}"
-    );
+    assert_one_line_error(&out);
     assert!(
         !Path::new(csv).exists(),
         "a rejected command still wrote its output"
@@ -391,4 +388,5 @@ fn misspelled_flag_fails_and_names_flag_and_command() {
     // A flag another command reads is still unknown here.
     let out = deeppower(&["eval", "--threads", "2"]);
     assert_clean_failure(&out, "unknown flag `--threads` for `eval`");
+    assert_one_line_error(&out);
 }

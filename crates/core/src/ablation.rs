@@ -138,6 +138,7 @@ mod tests {
     use super::*;
     use deeppower_drl::DdpgConfig;
     use deeppower_simd_server::{RunOptions, Server, ServerConfig, MILLISECOND, SECOND};
+    use deeppower_telemetry::freq_series;
     use deeppower_workload::{constant_rate_arrivals, App, AppSpec};
 
     #[test]
@@ -158,23 +159,24 @@ mod tests {
         let spec = AppSpec::get(App::Xapian);
         let arrivals = constant_rate_arrivals(&spec, 2000.0, SECOND, 1);
         let server = Server::new(ServerConfig::paper_default(8));
-        let res = server.run(
-            &arrivals,
-            &mut gov,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: deeppower_simd_server::TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
+        let rec = deeppower_telemetry::Recorder::ring(1 << 18);
+        let opts = RunOptions {
+            tick_ns: MILLISECOND,
+            trace: deeppower_simd_server::TraceConfig::freq_and_request_events(),
+            ..Default::default()
+        };
+        let res = server.session(&arrivals, &mut gov, opts, &rec).finish();
+        assert_eq!(rec.dropped_events(), 0);
+        let events = rec.drain_events();
+        let initial = server.config().initial_mhz;
+        let series: Vec<Vec<(u64, u32)>> = (0..8)
+            .map(|core| freq_series(&events, core, initial, res.duration_ns, MILLISECOND))
+            .collect();
         // All cores share one frequency at every sample instant.
-        let mut by_time: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        for &(t, _, f) in &res.traces.freq {
-            by_time.entry(t).or_default().push(f);
-        }
-        for (t, freqs) in by_time {
+        for (k, &(t, f0)) in series[0].iter().enumerate() {
+            let freqs: Vec<u32> = series.iter().map(|s| s[k].1).collect();
             assert!(
-                freqs.iter().all(|&f| f == freqs[0]),
+                freqs.iter().all(|&f| f == f0),
                 "cores diverged at t={t}: {freqs:?}"
             );
         }

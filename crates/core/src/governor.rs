@@ -164,7 +164,6 @@ impl<'a> DeepPowerGovernor<'a> {
                     magnitude: 0.0,
                 })
             });
-            self.recorder.add("faults.action_nan", 1);
         }
         // `ControllerParams::new` maps non-finite components to 0.0, so
         // the controller keeps a well-defined (minimum-frequency) policy
@@ -231,7 +230,6 @@ impl<'a> DeepPowerGovernor<'a> {
                         magnitude: 0.0,
                     })
                 });
-                self.recorder.add("faults.replay_reject", 1);
             }
             if self.mode == Mode::Train && self.agent.ready() {
                 let mut last = UpdateStats::default();
@@ -247,7 +245,6 @@ impl<'a> DeepPowerGovernor<'a> {
                                 magnitude: self.agent.rollbacks() as f64,
                             })
                         });
-                        self.recorder.add("faults.train_diverged", 1);
                     }
                 }
                 self.recorder.emit(|| {

@@ -148,12 +148,6 @@ impl<G: Governor> SafetyGovernor<G> {
                 core,
             })
         });
-        match action {
-            "watchdog-turbo" => self.recorder.add("safety.watchdog_trips", 1),
-            "hold-decay" => self.recorder.add("safety.hold_decays", 1),
-            "maxfreq-fallback" => self.recorder.add("safety.fallbacks", 1),
-            _ => {}
-        }
     }
 
     /// Record any command the wrapped policy issued this callback so the
@@ -405,10 +399,13 @@ mod tests {
         .with_recorder(rec.clone());
         let _ = server.run(&arrivals, &mut safe, RunOptions::default());
         assert!(safe.holds > 0, "silent policy never triggered a hold");
-        assert!(
-            rec.counter("safety.hold_decays") > 0,
-            "held command never decayed"
-        );
+        let decays = rec
+            .drain_events()
+            .iter()
+            .filter(|e| matches!(e, Event::SafetyAction(a) if a.action == "hold-decay"))
+            .count();
+        assert!(decays > 0, "held command never decayed");
+        assert_eq!(rec.dropped_events(), 0);
         // After decay completes every held command sits at nominal max.
         let plan = deeppower_simd_server::FreqPlan::xeon_gold_5218r();
         for held in &safe.last_cmd {

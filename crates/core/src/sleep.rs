@@ -123,8 +123,9 @@ mod tests {
     use super::*;
     use crate::thread_controller::{ControllerParams, ThreadController};
     use deeppower_simd_server::{
-        FixedFrequency, Request, RunOptions, Server, ServerConfig, MILLISECOND, SECOND,
+        FixedFrequency, Request, RunOptions, Server, ServerConfig, SimResult, MILLISECOND, SECOND,
     };
+    use deeppower_telemetry::Recorder;
     use deeppower_workload::{constant_rate_arrivals, App, AppSpec};
 
     fn sparse_workload() -> Vec<Request> {
@@ -142,6 +143,35 @@ mod tests {
                 features: Default::default(),
             })
             .collect()
+    }
+
+    /// Run to completion, counting the millisecond instants
+    /// `0, 1 ms, ..` up to the run's end at which idle core 0 sits in
+    /// the deepest C-state. Pausing the session adds no event times, so
+    /// the run is the plain one.
+    fn deep_sleep_ms(
+        server: &Server,
+        arrivals: &[Request],
+        gov: &mut dyn Governor,
+    ) -> (SimResult, usize) {
+        let deepest = server.config().cstates.deepest();
+        let rec = Recorder::disabled();
+        let mut session = server.session(arrivals, gov, RunOptions::default(), &rec);
+        let mut deep = 0;
+        let mut t = 0;
+        loop {
+            let done = session.advance_until(t + 1);
+            if done && session.now() < t {
+                break;
+            }
+            let core = session.with_view(|v| v.cores[0]);
+            deep += usize::from(core.running.is_none() && core.sleeping == deepest);
+            if done {
+                break;
+            }
+            t += MILLISECOND;
+        }
+        (session.finish(), deep)
     }
 
     #[test]
@@ -238,17 +268,13 @@ mod tests {
         // timer — only a request dispatch wakes a core.
         let server = Server::new(ServerConfig::paper_with_cstates(1));
         let arrivals = sparse_workload();
-        let opts = deeppower_simd_server::RunOptions {
-            trace: deeppower_simd_server::TraceConfig::millisecond(),
-            ..Default::default()
-        };
         // base 0.3 interpolates well below the 2100 MHz start, so a real
         // frequency command is pending on the core when it goes to sleep.
         let params = ControllerParams::new(0.3, 1.0);
         let mut awake = ThreadController::new(params);
-        let base = server.run(&arrivals, &mut awake, opts);
+        let base = server.run(&arrivals, &mut awake, RunOptions::default());
         let mut sleepy = SleepAware::new(ThreadController::new(params), 1, SleepPolicy::default());
-        let slept = server.run(&arrivals, &mut sleepy, opts);
+        let (slept, tc_deep) = deep_sleep_ms(&server, &arrivals, &mut sleepy);
 
         // (1) Every post-gap request pays the full C6 wake latency: the
         // core was still in deep sleep at dispatch, so the per-tick
@@ -265,36 +291,18 @@ mod tests {
         }
 
         // (2) Sleep-entry timing is unchanged by the command stream: the
-        // controller run reaches the C6 power floor just like a governor
-        // that stops commanding idle cores entirely.
+        // controller run reaches C6 just like a governor that stops
+        // commanding idle cores entirely, and holds it for the bulk of
+        // each ~99 ms gap — a reset idle timer would push C6 entry out by
+        // another idle_to_deep and shrink this count. 10 gaps × ≥ 90
+        // deep samples each.
         let mut quiet = SleepAware::new(FixedFrequency { mhz: 1200 }, 1, SleepPolicy::default());
-        let quiet_res = server.run(&arrivals, &mut quiet, opts);
-        let idle_floor = |r: &deeppower_simd_server::SimResult| {
-            r.traces
-                .power
-                .iter()
-                .filter(|&&(_, _, _, busy)| busy == 0)
-                .map(|&(_, p, _, _)| p)
-                .fold(f64::INFINITY, f64::min)
-        };
-        let tc_floor = idle_floor(&slept);
-        let quiet_floor = idle_floor(&quiet_res);
-        assert!(
-            (tc_floor - quiet_floor).abs() < 1e-9,
-            "idle power floor differs: {tc_floor} vs {quiet_floor} W"
-        );
-        // And the floor is held for the bulk of each ~99 ms gap — a reset
-        // idle timer would push C6 entry out by another idle_to_deep and
-        // shrink this count. 10 gaps × ≥ 90 deep samples each.
-        let deep_samples = |r: &deeppower_simd_server::SimResult, floor: f64| {
-            r.traces
-                .power
-                .iter()
-                .filter(|&&(_, p, _, busy)| busy == 0 && (p - floor).abs() < 1e-9)
-                .count()
-        };
-        let tc_deep = deep_samples(&slept, tc_floor);
-        let quiet_deep = deep_samples(&quiet_res, quiet_floor);
+        let (_, quiet_deep) = deep_sleep_ms(&server, &arrivals, &mut quiet);
+        let mut plain_sleepy =
+            SleepAware::new(ThreadController::new(params), 1, SleepPolicy::default());
+        let plain = server.run(&arrivals, &mut plain_sleepy, RunOptions::default());
+        assert_eq!(plain.records, slept.records, "pausing perturbed the run");
+        assert_eq!(plain.energy_j.to_bits(), slept.energy_j.to_bits());
         assert!(
             tc_deep >= 850 && quiet_deep >= 850,
             "deep-sleep residency lost: controller {tc_deep} vs quiet {quiet_deep} samples"

@@ -160,8 +160,9 @@ mod tests {
     use super::*;
     use deeppower_simd_server::{
         ContentionModel, FreqPlan, PowerModel, Request, RunOptions, Server, ServerConfig,
-        TraceConfig, MILLISECOND,
+        SimResult, TraceConfig, MILLISECOND,
     };
+    use deeppower_telemetry::{freq_series, Recorder};
 
     fn server(n: usize) -> Server {
         Server::new(ServerConfig {
@@ -187,6 +188,35 @@ mod tests {
             sla,
             features: Default::default(),
         }
+    }
+
+    /// Run at a 1 ms tick with frequency events on; returns the result
+    /// and each core's per-ms commanded frequency, rebuilt from its
+    /// `FreqTransition` events.
+    fn run_traced(
+        s: &Server,
+        tc: &mut ThreadController,
+        arrivals: &[Request],
+    ) -> (SimResult, Vec<Vec<u32>>) {
+        let rec = Recorder::ring(1 << 16);
+        let opts = RunOptions {
+            tick_ns: MILLISECOND,
+            trace: TraceConfig::freq_and_request_events(),
+            ..Default::default()
+        };
+        let res = s.session(arrivals, tc, opts, &rec).finish();
+        assert_eq!(rec.dropped_events(), 0);
+        let events = rec.drain_events();
+        let cfg = s.config();
+        let series = (0..cfg.n_cores as u64)
+            .map(|core| {
+                freq_series(&events, core, cfg.initial_mhz, res.duration_ns, MILLISECOND)
+                    .into_iter()
+                    .map(|(_, f)| f)
+                    .collect()
+            })
+            .collect();
+        (res, series)
     }
 
     #[test]
@@ -219,16 +249,8 @@ mod tests {
         let s = server(1);
         let mut tc = ThreadController::new(ControllerParams::new(0.2, 1.2));
         let arrivals = vec![req(0, 0, 7 * MILLISECOND, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let freqs: Vec<u32> = res.traces.freq.iter().map(|&(_, _, f)| f).collect();
+        let (res, series) = run_traced(&s, &mut tc, &arrivals);
+        let freqs = series.concat();
         // Frequency is non-decreasing while the request runs.
         let busy_freqs: Vec<u32> = freqs.clone();
         assert!(
@@ -248,16 +270,8 @@ mod tests {
         // (~930 MHz) it still finishes well within 10 % of SLA → never
         // leaves the bottom levels.
         let arrivals = vec![req(0, 0, 350_000, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let max_freq = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+        let (res, series) = run_traced(&s, &mut tc, &arrivals);
+        let max_freq = series.concat().into_iter().max().unwrap();
         assert!(
             max_freq <= 1000,
             "short request over-accelerated: {max_freq}"
@@ -271,22 +285,8 @@ mod tests {
         let mut tc = ThreadController::new(ControllerParams::new(0.5, 1.0));
         // Only one long request → core 1 stays idle.
         let arrivals = vec![req(0, 0, 3 * MILLISECOND, 100 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let idle_freqs: Vec<u32> = res
-            .traces
-            .freq
-            .iter()
-            .filter(|&&(_, c, _)| c == 1)
-            .map(|&(_, _, f)| f)
-            .collect();
+        let (_, series) = run_traced(&s, &mut tc, &arrivals);
+        let idle_freqs = &series[1];
         // base 0.5 → 800 + 1300·0.5 = 1450 → snaps to 1400 or 1500.
         assert!(
             idle_freqs.iter().all(|&f| f == 1400 || f == 1500),
@@ -313,16 +313,8 @@ mod tests {
         // base 0.5 → 1000 + 1000·0.5 = 1500 exactly (a plan level).
         let mut tc = ThreadController::new(ControllerParams::new(0.5, 0.0));
         let arrivals = vec![req(0, 0, 3 * MILLISECOND, 100 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let freqs: Vec<u32> = res.traces.freq.iter().map(|&(_, _, f)| f).collect();
+        let (_, series) = run_traced(&s, &mut tc, &arrivals);
+        let freqs = series.concat();
         assert!(!freqs.is_empty());
         assert!(
             freqs.iter().all(|&f| f == 1500),
@@ -342,16 +334,8 @@ mod tests {
         let s = server(1);
         let mut tc = ThreadController::new(ControllerParams::new(1.0, 0.0));
         let arrivals = vec![req(0, 0, MILLISECOND, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        assert!(res.traces.freq.iter().all(|&(_, _, f)| f == 3000));
+        let (_, series) = run_traced(&s, &mut tc, &arrivals);
+        assert!(series.concat().iter().all(|&f| f == 3000));
     }
 
     #[test]
@@ -370,7 +354,6 @@ mod tests {
             &mut tc,
             RunOptions {
                 tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
                 ..Default::default()
             },
         );

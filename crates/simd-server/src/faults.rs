@@ -192,10 +192,9 @@ impl FaultState {
         &self.plan
     }
 
-    /// Record one discrete injected fault: counter + typed event.
+    /// Record one discrete injected fault: count it and emit its event.
     pub fn record(&mut self, rec: &Recorder, t: Nanos, kind: &str, core: i64, magnitude: f64) {
         self.injected += 1;
-        rec.add("faults.injected", 1);
         rec.emit(|| {
             Event::FaultInjected(event::FaultInjected {
                 t,
@@ -308,7 +307,6 @@ impl FaultState {
         let noisy_delta = if self.plan.power_noise_frac > 0.0 {
             let u: f64 = self.sensor_rng.random();
             let factor = 1.0 + self.plan.power_noise_frac * (2.0 * u - 1.0);
-            rec.add("faults.power_noise", 1);
             (delta as f64 * factor).round() as u64
         } else {
             delta
@@ -424,7 +422,13 @@ mod tests {
         let events = rec.drain_events();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["FaultInjected", "FaultInjected"]);
-        assert_eq!(rec.counter("faults.injected"), 1); // only the stall begin
+        // Only the stall begin is an injected fault; the end is not.
+        let begins = events
+            .iter()
+            .filter(|e| matches!(e, Event::FaultInjected(f) if f.kind == "core-stall"))
+            .count();
+        assert_eq!((begins, st.injected), (1, 1));
+        assert_eq!(rec.dropped_events(), 0);
     }
 
     #[test]

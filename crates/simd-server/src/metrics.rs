@@ -1,8 +1,7 @@
-//! Measurement: per-request records, latency percentiles, and optional
-//! time-series traces (frequency, power, queue depth) for the paper's
-//! figures.
+//! Measurement: per-request records, latency percentiles, and the
+//! switch for the engine's high-volume trace events.
 
-use crate::clock::{Nanos, MILLISECOND};
+use crate::clock::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// Completion record for one request.
@@ -84,43 +83,28 @@ pub fn percentile_sorted(sorted: &[Nanos], q: f64) -> Nanos {
     sorted[rank - 1]
 }
 
-/// What to trace during a run. Tracing is off by default: a 360 s run at
-/// 1 ms sampling × 20 cores is 7.2 M samples, only the figure benches
-/// need it.
+/// Which high-volume events an enabled recorder receives. Off by
+/// default: a 360 s DeepPower rollout on 20 cores can change frequency
+/// millions of times, and only the figure benches and tests need the
+/// per-change and per-request streams.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TraceConfig {
-    /// Sample per-core frequency every `freq_sample_ns` (0 disables).
-    pub freq_sample_ns: Nanos,
-    /// Sample socket power & queue depth every `power_sample_ns` (0 disables).
-    pub power_sample_ns: Nanos,
-    /// Record request start/end marks per core (Fig. 4's green/blue marks).
-    pub request_marks: bool,
+    /// Emit [`FreqTransition`](deeppower_telemetry::FreqTransition) on
+    /// every applied frequency change and
+    /// [`RequestDispatch`](deeppower_telemetry::RequestDispatch) /
+    /// [`RequestComplete`](deeppower_telemetry::RequestComplete) marks
+    /// per request (Fig. 4's green/blue marks).
+    pub freq_and_request_events: bool,
 }
 
 impl TraceConfig {
-    /// Millisecond-resolution everything — what Figs. 4, 9, 10, 11 need.
-    pub fn millisecond() -> Self {
+    /// Frequency-transition and request-mark events on — what Figs. 4,
+    /// 9, 10 and 11 rebuild their series from.
+    pub fn freq_and_request_events() -> Self {
         Self {
-            freq_sample_ns: MILLISECOND,
-            power_sample_ns: MILLISECOND,
-            request_marks: true,
+            freq_and_request_events: true,
         }
     }
-}
-
-/// One frequency sample: `(time, core, commanded MHz)`.
-pub type FreqSample = (Nanos, usize, u32);
-/// One power/queue sample: `(time, socket watts, queue length, busy cores)`.
-pub type PowerSample = (Nanos, f64, usize, usize);
-/// Request lifecycle mark: `(time, core, request id, is_start)`.
-pub type RequestMark = (Nanos, usize, u64, bool);
-
-/// Collected time series.
-#[derive(Clone, Debug, Default)]
-pub struct Traces {
-    pub freq: Vec<FreqSample>,
-    pub power: Vec<PowerSample>,
-    pub marks: Vec<RequestMark>,
 }
 
 /// Accumulates per-request records and counters during a run.
@@ -293,63 +277,6 @@ mod tests {
             fn ties_collapse(v in 0u64..1_000_000, n in 1usize..50, q in 0.0f64..1.0) {
                 let sorted = vec![v; n];
                 prop_assert_eq!(percentile_sorted(&sorted, q), v);
-            }
-        }
-    }
-
-    mod monitor_merge_props {
-        use deeppower_telemetry::{Event, FleetMonitor, Histogram, MonitorConfig, WindowRollup};
-        use proptest::prelude::*;
-
-        proptest! {
-            /// When a single monitor window spans the whole run, the
-            /// fleet-merged window stats equal those of one histogram
-            /// fed every sample exactly: both use the same log-bucket
-            /// scheme, rebuilding from per-node bucket (upper-bound,
-            /// count) pairs preserves per-bucket counts, and both clamp
-            /// percentiles to the exact extremes.
-            #[test]
-            fn fleet_merged_window_matches_whole_run_quick_stats(
-                lats in proptest::collection::vec(1u64..50_000_000, 1..200),
-                nodes in 1u64..4,
-            ) {
-                let samples: Vec<(u64, bool)> =
-                    lats.into_iter().map(|l| (l, l % 5 == 0)).collect();
-                let mut whole = Histogram::new();
-                let mut whole_timeouts = 0u64;
-                let mut hists: Vec<Histogram> =
-                    (0..nodes).map(|_| Histogram::new()).collect();
-                let mut timeouts = vec![0u64; nodes as usize];
-                for (i, &(lat, timed_out)) in samples.iter().enumerate() {
-                    whole.record(lat);
-                    whole_timeouts += u64::from(timed_out);
-                    let n = (i as u64 % nodes) as usize;
-                    hists[n].record(lat);
-                    if timed_out {
-                        timeouts[n] += 1;
-                    }
-                }
-                const WINDOW: u64 = 1_000_000_000;
-                let mut mon = FleetMonitor::new(MonitorConfig::default());
-                for n in 0..nodes as usize {
-                    if hists[n].count() == 0 {
-                        continue;
-                    }
-                    let roll = WindowRollup::from_histogram(
-                        WINDOW, 0, WINDOW, &hists[n], timeouts[n], 1.0, 1000.0, 0);
-                    mon.observe(n as u64, &Event::WindowRollup(roll));
-                }
-                let report = mon.finish();
-                prop_assert_eq!(report.window_series.len(), 1);
-                let w = &report.window_series[0];
-                prop_assert_eq!(w.count, whole.count());
-                prop_assert_eq!(w.timeouts, whole_timeouts);
-                prop_assert_eq!(w.max_ns, whole.max());
-                prop_assert_eq!(w.p50_ns, whole.percentile(0.50));
-                prop_assert_eq!(w.p95_ns, whole.percentile(0.95));
-                prop_assert_eq!(w.p99_ns, whole.percentile(0.99));
-                prop_assert!(
-                    (w.mean_ns - whole.mean()).abs() <= 1e-6 * whole.mean().max(1.0));
             }
         }
     }

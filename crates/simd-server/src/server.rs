@@ -12,12 +12,12 @@
 //! 1. request completion (a core drains its remaining intrinsic work),
 //! 2. request arrival,
 //! 3. governor control tick (the paper's `ShortTime`),
-//! 4. trace sampling points.
+//! 4. fault-plan boundaries, deferred DVFS transitions and client
+//!    deadlines.
 //!
 //! Within one timestamp events are processed in the deterministic order
 //! completions → client abandonments → arrivals (admission, bursts,
-//! retries) → dispatch → tick → samples, which makes every run
-//! bit-replayable.
+//! retries) → dispatch → tick, which makes every run bit-replayable.
 
 use crate::clock::Nanos;
 use crate::contention::ContentionModel;
@@ -25,7 +25,7 @@ use crate::cstates::CStatePlan;
 use crate::dvfs::{DvfsController, FreqPlan, TransitionOutcome};
 use crate::faults::{FaultPlan, FaultState, SensorReading};
 use crate::governor::{CoreView, FreqCommands, Governor, RunningView, ServerView};
-use crate::metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig, Traces};
+use crate::metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig};
 use crate::overload::{Admit, OverloadPlan, OverloadState};
 use crate::power::{EnergyMeter, PowerModel};
 use crate::request::Request;
@@ -98,7 +98,8 @@ impl ServerConfig {
 pub struct RunOptions {
     /// Governor control period (`ShortTime`; 1 ms in the paper).
     pub tick_ns: Nanos,
-    /// Trace collection (off by default — figure benches enable it).
+    /// High-volume trace events (off by default — figure benches
+    /// enable them).
     pub trace: TraceConfig,
     /// Deterministic fault injection (off by default; see
     /// [`crate::faults`]).
@@ -136,7 +137,6 @@ pub struct SimResult {
     pub avg_power_w: f64,
     /// Simulated wall time from t=0 to the last completion.
     pub duration_ns: Nanos,
-    pub traces: Traces,
     pub freq_transitions: u64,
     /// Discrete faults injected by the run's [`FaultPlan`] (0 when the
     /// plan is inactive).
@@ -344,8 +344,8 @@ impl Server {
     }
 
     /// Simulate `arrivals` (must be sorted by arrival time) to completion
-    /// under `governor`, without telemetry. Returns all metrics, energy
-    /// and traces. The observed form is
+    /// under `governor`, without telemetry. Returns all metrics and
+    /// energy. The observed form is
     /// `session(arrivals, governor, opts, &rec).with_profiler(&prof).finish()`.
     pub fn run(
         &self,
@@ -372,15 +372,14 @@ impl Server {
     /// tick at or past each window boundary, a run-so-far
     /// [`event::LatencySnapshot`] followed by that window's
     /// [`event::WindowRollup`] (the trailing partial window rolls at run
-    /// end, without a snapshot). Two streams are gated on the
-    /// [`TraceConfig`] knobs that bound their volume:
-    /// [`event::FreqTransition`] on every applied frequency change (when
-    /// `freq_sample_ns > 0`) and
-    /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks (when
-    /// `request_marks` is set). Telemetry never adds event times to the
-    /// simulation (all emission happens at boundaries the engine visits
-    /// anyway), so results are bit-identical whether the recorder is
-    /// enabled or not.
+    /// end, without a snapshot). [`TraceConfig::freq_and_request_events`]
+    /// adds the two high-volume streams: [`event::FreqTransition`] on
+    /// every applied frequency change and
+    /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks per
+    /// request. Neither the recorder nor the [`TraceConfig`] adds event
+    /// times to the simulation (all emission happens at boundaries the
+    /// engine visits anyway), so results are bit-identical whatever
+    /// either is set to.
     pub fn session<'a>(
         &'a self,
         arrivals: &'a [Request],
@@ -409,9 +408,8 @@ impl Server {
             queue: VecDeque::new(),
             metrics: MetricsCollector::new(),
             energy: EnergyMeter::new(),
-            traces: Traces::default(),
             cmds: FreqCommands::new(n, &self.cfg.freq_plan),
-            freq_telem: FreqTelemetry::new(n, rec.enabled(), opts.trace.freq_sample_ns > 0),
+            freq_telem: FreqTelemetry::new(n, rec.enabled(), opts.trace.freq_and_request_events),
             faults: FaultState::new(opts.faults, n),
             overload: OverloadState::new(opts.overload, n),
             dvfs: DvfsController::new(n),
@@ -420,16 +418,6 @@ impl Server {
             next_tick: 0,
             window: WindowTelemetry::new(rec.enabled()),
             rtrace: RequestTracer::new(opts.rtrace, rec.enabled()),
-            next_freq_sample: if opts.trace.freq_sample_ns > 0 {
-                0
-            } else {
-                Nanos::MAX
-            },
-            next_power_sample: if opts.trace.power_sample_ns > 0 {
-                0
-            } else {
-                Nanos::MAX
-            },
             primed: false,
             finished: false,
             cfg: &self.cfg,
@@ -466,7 +454,6 @@ pub struct Session<'a> {
     queue: VecDeque<Request>,
     metrics: MetricsCollector,
     energy: EnergyMeter,
-    traces: Traces,
     cmds: FreqCommands,
     freq_telem: FreqTelemetry,
     faults: FaultState,
@@ -478,8 +465,6 @@ pub struct Session<'a> {
     window: WindowTelemetry,
     /// Request-lifecycle tracer (inactive plan = one branch per hook).
     rtrace: RequestTracer,
-    next_freq_sample: Nanos,
-    next_power_sample: Nanos,
     /// Whether the events at `now` (initially t=0) have been processed.
     primed: bool,
     finished: bool,
@@ -568,7 +553,6 @@ impl Session<'_> {
             avg_power_w: self.energy.average_power_w(),
             duration_ns: self.now,
             records: std::mem::take(&mut self.metrics.records),
-            traces: self.traces,
             freq_transitions: self.metrics.freq_transitions,
             faults_injected: self.faults.injected,
             goodput: oc.good,
@@ -598,7 +582,7 @@ impl Session<'_> {
         f(&view)
     }
 
-    /// Process phases 0–6 at `self.now`; returns `true` on termination.
+    /// Process phases 0–5 at `self.now`; returns `true` on termination.
     fn process_now(&mut self) -> bool {
         let now = self.now;
 
@@ -647,10 +631,7 @@ impl Session<'_> {
                 self.window.on_completion(latency, record.timed_out, wasted);
                 self.rtrace
                     .on_complete(now, running.req.id, wasted, self.rec);
-                if self.opts.trace.request_marks {
-                    self.traces
-                        .marks
-                        .push((now, core_id, running.req.id, false));
+                if self.opts.trace.freq_and_request_events {
                     self.rec.emit(|| {
                         Event::RequestComplete(event::RequestComplete {
                             t: now,
@@ -752,8 +733,7 @@ impl Session<'_> {
             if let Some(frac) = self.cmds.take_admission() {
                 self.overload.set_threshold(frac);
             }
-            if self.opts.trace.request_marks {
-                self.traces.marks.push((now, core_id, req.id, true));
+            if self.opts.trace.freq_and_request_events {
                 self.rec.emit(|| {
                     Event::RequestDispatch(event::RequestDispatch {
                         t: now,
@@ -842,23 +822,7 @@ impl Session<'_> {
             }
         }
 
-        // ---- 5. Trace samples ----
-        let sp = self.prof.span("engine.metrics");
-        if now >= self.next_freq_sample {
-            for (i, c) in self.cores.iter().enumerate() {
-                self.traces.freq.push((now, i, c.freq_mhz));
-            }
-            self.next_freq_sample = now + self.opts.trace.freq_sample_ns;
-        }
-        if now >= self.next_power_sample {
-            let p = socket_power(self.cfg, &self.cores);
-            let busy = self.cores.iter().filter(|c| c.running.is_some()).count();
-            self.traces.power.push((now, p, self.queue.len(), busy));
-            self.next_power_sample = now + self.opts.trace.power_sample_ns;
-        }
-        drop(sp);
-
-        // ---- 6. Termination ----
+        // ---- 5. Termination ----
         let all_idle = self.cores.iter().all(|c| c.running.is_none());
         if self.arr_idx == self.arrivals.len()
             && self.queue.is_empty()
@@ -921,16 +885,13 @@ impl Session<'_> {
         self.metrics.observe_queue_depth(self.queue.len());
     }
 
-    /// Phase 7: earliest pending event time (always finite — the
+    /// Phase 6: earliest pending event time (always finite — the
     /// governor tick never stops).
     fn next_event_time(&self) -> Nanos {
         let plan = &self.cfg.freq_plan;
         let busy = self.cores.iter().filter(|c| c.running.is_some()).count();
         let inflation = self.cfg.contention.inflation(busy, self.cfg.n_cores);
-        let mut t_next = self
-            .next_tick
-            .min(self.next_freq_sample)
-            .min(self.next_power_sample);
+        let mut t_next = self.next_tick;
         if self.arr_idx < self.arrivals.len() {
             t_next = t_next.min(self.arrivals[self.arr_idx].arrival);
         }
@@ -970,7 +931,7 @@ impl Session<'_> {
         t_next
     }
 
-    /// Phase 8: integrate energy and retire work up to `t_next`, then
+    /// Phase 7: integrate energy and retire work up to `t_next`, then
     /// move the clock there.
     fn advance_to(&mut self, t_next: Nanos) {
         debug_assert!(t_next > self.now, "event time did not advance");
@@ -1091,8 +1052,8 @@ struct FreqTelemetry {
     enabled: bool,
     /// Per-transition events can reach ticks × cores over a run
     /// (millions for a long DeepPower rollout), so they are emitted only
-    /// when the caller opted into frequency tracing
-    /// (`TraceConfig::freq_sample_ns > 0`). Residency aggregates are
+    /// when the caller opted in
+    /// (`TraceConfig::freq_and_request_events`). Residency aggregates are
     /// bounded by cores × levels and always accompany an enabled
     /// recorder.
     emit_transitions: bool,
@@ -1198,12 +1159,9 @@ fn apply_commands(
                 }
                 _ => snapped,
             };
-            if dvfs.in_transition(i) {
-                // A write while a (spiked) transition is in flight is
-                // rejected — the stuck-cpufreq case. Not an injected
-                // fault itself, so it is only counted.
-                rec.add("faults.dvfs_busy", 1);
-            } else if snapped != core.freq_mhz {
+            // A write while a (spiked) transition is in flight is
+            // rejected — the stuck-cpufreq case; not an injected fault.
+            if !dvfs.in_transition(i) && snapped != core.freq_mhz {
                 let fault = faults.draw_dvfs();
                 match dvfs.request(i, now, core.freq_mhz, snapped, fault) {
                     TransitionOutcome::Applied => {
@@ -1434,28 +1392,126 @@ mod tests {
         assert!((10..=12).contains(&gov.ticks), "ticks {}", gov.ticks);
     }
 
+    /// The per-ms `(t, core, mhz)` frequency series (time-major, cores
+    /// ascending) and the `(t, core, id, is_start)` request marks of a
+    /// run, rebuilt from its `FreqTransition` and
+    /// `RequestDispatch`/`RequestComplete` events.
+    #[allow(clippy::type_complexity)]
+    fn freq_and_marks(
+        events: &[Event],
+        cfg: &ServerConfig,
+        t_end: Nanos,
+    ) -> (Vec<(Nanos, usize, u32)>, Vec<(Nanos, usize, u64, bool)>) {
+        let per_core: Vec<Vec<(Nanos, u32)>> = (0..cfg.n_cores)
+            .map(|i| {
+                let initial = cfg
+                    .core_cap(i)
+                    .map_or(cfg.initial_mhz, |c| c.min(cfg.initial_mhz));
+                deeppower_telemetry::freq_series(events, i as u64, initial, t_end, MILLISECOND)
+            })
+            .collect();
+        let freq = (0..per_core[0].len())
+            .flat_map(|k| {
+                per_core
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, s)| (s[k].0, i, s[k].1))
+            })
+            .collect();
+        let marks = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::RequestDispatch(d) => Some((d.t, d.core as usize, d.id, true)),
+                Event::RequestComplete(c) => Some((c.t, c.core as usize, c.id, false)),
+                _ => None,
+            })
+            .collect();
+        (freq, marks)
+    }
+
     #[test]
     fn freq_trace_records_all_cores() {
         let server = Server::new(ServerConfig::paper_default(3));
         let arrivals = vec![req(0, 0, 5 * MILLISECOND)];
         let mut gov = FixedFrequency { mhz: 1200 };
-        let res = server.run(
-            &arrivals,
-            &mut gov,
-            RunOptions {
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        assert!(!res.traces.freq.is_empty());
-        let core_ids: std::collections::HashSet<usize> =
-            res.traces.freq.iter().map(|&(_, c, _)| c).collect();
-        assert_eq!(core_ids.len(), 3);
+        let rec = deeppower_telemetry::Recorder::ring(1 << 10);
+        let res = server
+            .session(
+                &arrivals,
+                &mut gov,
+                RunOptions {
+                    trace: TraceConfig::freq_and_request_events(),
+                    ..Default::default()
+                },
+                &rec,
+            )
+            .finish();
+        let events = rec.drain_events();
+        let (freq, marks) = freq_and_marks(&events, server.config(), res.duration_ns);
+        assert!(!freq.is_empty());
+        // Every core's first tick moves it from 2100 to 1200 MHz.
+        let moved: std::collections::HashSet<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::FreqTransition(f) if f.to_mhz == 1200 => Some(f.core),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(moved.len(), 3);
+        assert!(freq.iter().rev().take(3).all(|&(_, _, f)| f == 1200));
         // Request marks: one start, one end.
-        let starts = res.traces.marks.iter().filter(|m| m.3).count();
-        let ends = res.traces.marks.iter().filter(|m| !m.3).count();
+        let starts = marks.iter().filter(|m| m.3).count();
+        let ends = marks.iter().filter(|m| !m.3).count();
         assert_eq!(starts, 1);
         assert_eq!(ends, 1);
+    }
+
+    /// Trace events ride on boundaries the engine visits anyway, so a
+    /// traced, recorded run is bit-identical to the plain run at any
+    /// tick period — including ticks off the millisecond grid, where a
+    /// sampling clock would add event times and split the energy
+    /// integral differently.
+    #[test]
+    fn traced_run_reproduces_plain_run_at_any_tick() {
+        let server = Server::new(ServerConfig::paper_default(4));
+        let arrivals: Vec<Request> = (0..2000)
+            .map(|i| req(i, i * 250_000, 300_000 + (i % 13) * 90_000))
+            .collect();
+        for tick_ns in [MILLISECOND, 1_300_000, 7 * MILLISECOND] {
+            let plain_opts = RunOptions {
+                tick_ns,
+                ..Default::default()
+            };
+            let traced_opts = RunOptions {
+                trace: TraceConfig::freq_and_request_events(),
+                ..plain_opts
+            };
+            let plain = server.run(&arrivals, &mut FixedFrequency { mhz: 1500 }, plain_opts);
+            let rec = deeppower_telemetry::Recorder::ring(1 << 14);
+            let traced = server
+                .session(
+                    &arrivals,
+                    &mut FixedFrequency { mhz: 1500 },
+                    traced_opts,
+                    &rec,
+                )
+                .finish();
+            assert_eq!(plain.records, traced.records, "tick {tick_ns}");
+            assert_eq!(
+                plain.energy_j.to_bits(),
+                traced.energy_j.to_bits(),
+                "tick {tick_ns}: {} vs {} J",
+                plain.energy_j,
+                traced.energy_j
+            );
+            let untraced = server.run(&arrivals, &mut FixedFrequency { mhz: 1500 }, traced_opts);
+            assert_eq!(plain.energy_j.to_bits(), untraced.energy_j.to_bits());
+            assert_eq!(rec.dropped_events(), 0);
+            assert!(rec
+                .drain_events()
+                .iter()
+                .any(|e| e.kind() == "RequestDispatch"));
+        }
     }
 
     #[test]
@@ -1525,7 +1581,7 @@ mod tests {
             .map(|i| req(i, i * 10_000_000, 400_000 + (i % 5) * 100_000))
             .collect();
         let opts = RunOptions {
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig::freq_and_request_events(),
             ..Default::default()
         };
         struct Stepper;
@@ -1637,7 +1693,7 @@ mod tests {
             .map(|i| req(i, i * 10_000_000, 400_000 + (i % 5) * 100_000))
             .collect();
         let opts = RunOptions {
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig::freq_and_request_events(),
             ..Default::default()
         };
         let mut gov = FixedFrequency { mhz: 2100 };
@@ -1665,14 +1721,12 @@ mod tests {
             "engine.completions",
             "engine.arrivals",
             "engine.tick",
-            "engine.metrics",
             "engine.advance",
         ] {
             assert!(count(phase) > 0, "no {phase} spans recorded");
         }
-        // Each processed event visits completions/arrivals/metrics once.
+        // Each processed event visits completions and arrivals once.
         assert_eq!(count("engine.completions"), count("engine.arrivals"));
-        assert_eq!(count("engine.completions"), count("engine.metrics"));
     }
 
     #[test]
@@ -1730,7 +1784,12 @@ mod tests {
             .filter(|e| matches!(e, Event::FaultInjected(f) if f.kind == "dvfs-fail"))
             .count() as u64;
         assert_eq!(fails, res.faults_injected);
-        assert_eq!(rec.counter("faults.injected"), res.faults_injected);
+        let injected = events
+            .iter()
+            .filter(|e| e.kind() == "FaultInjected")
+            .count() as u64;
+        assert_eq!(injected, res.faults_injected);
+        assert_eq!(rec.dropped_events(), 0);
     }
 
     #[test]
@@ -1900,7 +1959,7 @@ mod tests {
         let events = rec.drain_events();
         let sheds = events.iter().filter(|e| e.kind() == "Shed").count() as u64;
         assert_eq!(sheds, res.shed);
-        assert_eq!(rec.counter("overload.shed"), res.shed);
+        assert_eq!(rec.dropped_events(), 0);
     }
 
     #[test]
@@ -2184,7 +2243,7 @@ mod tests {
             .map(|i| req(i, (i / 4) * 4 * MILLISECOND, 900_000 + (i % 11) * 150_000))
             .collect();
         let opts = RunOptions {
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig::freq_and_request_events(),
             faults: crate::FaultPlan {
                 seed: 5,
                 dvfs_fail_prob: 0.1,
@@ -2247,6 +2306,53 @@ mod tests {
             digest, 0xd899_1c00_8b83_aba3,
             "engine event stream digest {digest:#018x}"
         );
+    }
+
+    /// The per-ms frequency series and request marks rebuilt from the
+    /// event stream of a faulted 4-core run (DVFS failures and spikes,
+    /// core stalls) hash (`Debug` of the tuple vectors) to digests
+    /// pinned from the engine's former per-ms sampler, so the figures
+    /// that read these series see exactly what it recorded.
+    #[test]
+    fn event_rebuilt_series_reproduce_pinned_sampled_traces() {
+        struct Rotor;
+        impl Governor for Rotor {
+            fn on_tick(&mut self, v: &ServerView<'_>, cmds: &mut FreqCommands) {
+                for i in 0..v.cores.len() {
+                    cmds.set(
+                        i,
+                        [800, 1500, 2100][((v.now / MILLISECOND) as usize + i) % 3],
+                    );
+                }
+            }
+        }
+        let server = Server::new(ServerConfig::paper_default(4));
+        let arrivals: Vec<Request> = (0..2000)
+            .map(|i| req(i, i * 250_000, 300_000 + (i % 13) * 90_000))
+            .collect();
+        let opts = RunOptions {
+            trace: TraceConfig::freq_and_request_events(),
+            faults: crate::FaultPlan {
+                seed: 11,
+                dvfs_fail_prob: 0.2,
+                dvfs_spike_prob: 0.2,
+                dvfs_spike_min_ns: 10_000,
+                dvfs_spike_max_ns: 300_000,
+                stall_period_ns: 20 * MILLISECOND,
+                stall_duration_ns: MILLISECOND,
+                sensor_drop_prob: 0.1,
+                power_noise_frac: 0.1,
+            },
+            ..Default::default()
+        };
+        let rec = deeppower_telemetry::Recorder::ring(1 << 16);
+        let res = server.session(&arrivals, &mut Rotor, opts, &rec).finish();
+        assert_eq!(rec.dropped_events(), 0);
+        assert_eq!(res.faults_injected, 1380);
+        let (freq, marks) = freq_and_marks(&rec.drain_events(), server.config(), res.duration_ns);
+        assert_eq!((freq.len(), marks.len()), (3276, 4000));
+        assert_eq!(fnv(&format!("{freq:?}")), 0x22fc_ac7f_0b11_bb74);
+        assert_eq!(fnv(&format!("{marks:?}")), 0xa8ae_da49_9274_2c0d);
     }
 
     mod trace_latency_props {

@@ -68,7 +68,7 @@ pub struct CoreResidency {
 }
 
 /// A core dequeued a request and started processing it (Fig. 4's green
-/// marks). Gated on `TraceConfig::request_marks`.
+/// marks). Gated on `TraceConfig::freq_and_request_events`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RequestDispatch {
     pub t: u64,
@@ -77,7 +77,7 @@ pub struct RequestDispatch {
 }
 
 /// A request completed (Fig. 4's blue marks). Gated on
-/// `TraceConfig::request_marks`.
+/// `TraceConfig::freq_and_request_events`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RequestComplete {
     pub t: u64,

@@ -165,27 +165,6 @@ impl Histogram {
         self.max
     }
 
-    /// Point-in-time summary, or `None` when nothing has been recorded —
-    /// the non-panicking read path for empty distributions. (The scalar
-    /// accessors above return 0 for an empty histogram, which callers
-    /// assembling reports cannot distinguish from a real recorded zero;
-    /// the snapshot makes emptiness explicit instead of panicking or
-    /// fabricating values.)
-    pub fn snapshot(&self) -> Option<HistogramSnapshot> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(HistogramSnapshot {
-            count: self.count,
-            mean: self.mean(),
-            min: self.min,
-            max: self.max,
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-        })
-    }
-
     /// Recorded values whose bucket upper bound is `<= v` — the
     /// "within target" count a latency burn rate is computed from.
     /// O(buckets), conservative by at most one bucket (values sharing
@@ -212,20 +191,6 @@ impl Histogram {
     }
 }
 
-/// Summary of a non-empty [`Histogram`] (see [`Histogram::snapshot`]).
-/// `min`/`max`/`mean` are exact; the percentiles carry the bucket
-/// scheme's `2^-SUB_BITS` relative quantization error.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub mean: f64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,11 +198,16 @@ mod tests {
 
     #[test]
     fn empty_histogram_reads_zero() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.99), 0);
+        assert_eq!(h.percentile(0.5), 0);
+        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
+        // One record makes the extremes real.
+        h.record(7);
+        assert_eq!((h.count(), h.min(), h.max()), (1, 7, 7));
     }
 
     #[test]
@@ -295,8 +265,8 @@ mod tests {
         /// `values.iter().min()/max().unwrap()` over a generator that
         /// excluded the empty vector — the empty and single-value
         /// distributions were never exercised. The bounds now come from
-        /// the non-panicking [`Histogram::snapshot`], and the generator
-        /// includes both edge cases (`0..200`).
+        /// the total `min`/`max` accessors, and the generator includes
+        /// both edge cases (`0..200`).
         #[test]
         fn percentile_bounded_and_monotone(
             values in proptest::collection::vec(0u64..1_000_000_000, 0..200),
@@ -305,44 +275,40 @@ mod tests {
         ) {
             let mut h = Histogram::new();
             for &v in &values { h.record(v); }
-            match h.snapshot() {
-                None => {
-                    // Empty histogram: no snapshot, and every scalar read
-                    // is a well-defined zero rather than a panic.
-                    prop_assert!(values.is_empty());
-                    prop_assert_eq!(h.percentile(q1), 0);
-                    prop_assert_eq!(h.min(), 0);
-                    prop_assert_eq!(h.max(), 0);
+            if h.is_empty() {
+                // Every scalar read is a well-defined zero, not a panic.
+                prop_assert!(values.is_empty());
+                prop_assert_eq!(h.percentile(q1), 0);
+                prop_assert_eq!(h.min(), 0);
+                prop_assert_eq!(h.max(), 0);
+            } else {
+                let (lo, hi) = (h.min(), h.max());
+                prop_assert_eq!(lo, *values.iter().min().unwrap());
+                prop_assert_eq!(hi, *values.iter().max().unwrap());
+                for q in [q1, q2, 0.0, 1.0] {
+                    let p = h.percentile(q);
+                    prop_assert!(p >= lo && p <= hi, "p{} = {} outside [{}, {}]", q, p, lo, hi);
                 }
-                Some(snap) => {
-                    let (lo, hi) = (snap.min, snap.max);
-                    prop_assert_eq!(lo, *values.iter().min().unwrap());
-                    prop_assert_eq!(hi, *values.iter().max().unwrap());
-                    for q in [q1, q2, 0.0, 1.0] {
-                        let p = h.percentile(q);
-                        prop_assert!(p >= lo && p <= hi, "p{} = {} outside [{}, {}]", q, p, lo, hi);
-                    }
-                    let (ql, qh) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-                    prop_assert!(h.percentile(ql) <= h.percentile(qh));
-                }
+                let (ql, qh) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+                prop_assert!(h.percentile(ql) <= h.percentile(qh));
             }
         }
 
-        /// A single-value distribution snapshots to that value exactly —
+        /// A single-value distribution reads back that value exactly —
         /// min, max and every percentile (the percentile clamp to the
         /// true extremes cancels the bucket quantization).
         #[test]
-        fn single_value_snapshot_is_exact(v in 0u64..u64::MAX / 2, q in 0.0f64..1.0) {
+        fn single_value_reads_are_exact(v in 0u64..u64::MAX / 2, q in 0.0f64..1.0) {
             let mut h = Histogram::new();
             h.record(v);
-            let snap = h.snapshot().expect("one value recorded");
-            prop_assert_eq!(snap.count, 1);
-            prop_assert_eq!(snap.min, v);
-            prop_assert_eq!(snap.max, v);
-            prop_assert_eq!(snap.p50, v);
-            prop_assert_eq!(snap.p99, v);
+            prop_assert_eq!(h.count(), 1);
+            prop_assert_eq!(h.min(), v);
+            prop_assert_eq!(h.max(), v);
+            prop_assert_eq!(h.percentile(0.50), v);
+            prop_assert_eq!(h.percentile(0.95), v);
+            prop_assert_eq!(h.percentile(0.99), v);
             prop_assert_eq!(h.percentile(q), v);
-            prop_assert!((snap.mean - v as f64).abs() < 1.0);
+            prop_assert!((h.mean() - v as f64).abs() < 1.0);
         }
     }
 
@@ -390,21 +356,5 @@ mod tests {
             prop_assert_eq!(h.count(), rebuilt.count());
             prop_assert_eq!(h.nonzero_buckets(), rebuilt.nonzero_buckets());
         }
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_none_not_a_panic() {
-        let h = Histogram::new();
-        assert_eq!(h.snapshot(), None);
-        // The scalar read paths stay total on empty input too.
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
-        // One record flips it to Some.
-        let mut h = h;
-        h.record(7);
-        let snap = h.snapshot().unwrap();
-        assert_eq!((snap.count, snap.min, snap.max), (1, 7, 7));
     }
 }

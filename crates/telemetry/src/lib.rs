@@ -13,13 +13,14 @@
 //!   disabled recorder is a `None` and every emission guards on one
 //!   branch, so instrumented hot paths cost nothing when telemetry is
 //!   off (asserted by the `telemetry_overhead` bench). Enabled
-//!   recorders share a [`TelemetrySink`] (by default a preallocated
-//!   [`RingSink`]) plus named counters.
+//!   recorders share one [`TelemetrySink`] (by default a preallocated
+//!   [`RingSink`]); the event stream is the only channel out of the
+//!   engine.
 //! * [`export`] — JSONL (the artifact format written by
 //!   `deeppower grid --telemetry` and `deeppower trace`) and CSV
 //!   exporters, plus series reconstruction from transition events.
-//! * [`Logger`] — the leveled logger behind the CLI's `-v`/`--quiet`
-//!   flags; log volume is counted through the recorder.
+//! * [`Logger`] — the leveled stderr logger behind the CLI's
+//!   `-v`/`--quiet` flags.
 //! * [`Histogram`] — a log-bucketed histogram: O(1) insert and
 //!   O(buckets) percentile reads. The engine's per-window rollups and
 //!   run-so-far latency snapshots read it instead of sorting records,
@@ -58,7 +59,7 @@ pub use export::{
     episode_events, freq_series, from_jsonl, steps_to_csv, to_jsonl, STEP_CSV_HEADER,
 };
 pub use fs::atomic_write;
-pub use histogram::{Histogram, HistogramSnapshot};
+pub use histogram::Histogram;
 pub use logger::{LogLevel, Logger};
 pub use monitor::{
     AlertRecord, AnomalyRecord, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, SloOutcome,

@@ -1169,6 +1169,55 @@ mod tests {
             }
             prop_assert_eq!(reference.finish().to_json(), shuffled.finish().to_json());
         }
+
+        /// When a single monitor window spans the whole run, the
+        /// fleet-merged window stats equal those of one histogram fed
+        /// every sample exactly: both use the same log-bucket scheme,
+        /// rebuilding from per-node bucket (upper-bound, count) pairs
+        /// preserves per-bucket counts, and both clamp percentiles to
+        /// the exact extremes.
+        #[test]
+        fn merged_whole_run_window_matches_one_histogram_of_all_samples(
+            lats in proptest::collection::vec(1u64..50_000_000, 1..200),
+            nodes in 1u64..4,
+        ) {
+            let samples: Vec<(u64, bool)> =
+                lats.into_iter().map(|l| (l, l % 5 == 0)).collect();
+            let mut whole = Histogram::new();
+            let mut whole_timeouts = 0u64;
+            let mut hists: Vec<Histogram> =
+                (0..nodes).map(|_| Histogram::new()).collect();
+            let mut timeouts = vec![0u64; nodes as usize];
+            for (i, &(lat, timed_out)) in samples.iter().enumerate() {
+                whole.record(lat);
+                whole_timeouts += u64::from(timed_out);
+                let n = (i as u64 % nodes) as usize;
+                hists[n].record(lat);
+                if timed_out {
+                    timeouts[n] += 1;
+                }
+            }
+            let mut mon = FleetMonitor::new(MonitorConfig::default());
+            for n in 0..nodes as usize {
+                if hists[n].count() == 0 {
+                    continue;
+                }
+                let roll = WindowRollup::from_histogram(
+                    WIN, 0, WIN, &hists[n], timeouts[n], 1.0, 1000.0, 0);
+                mon.observe(n as u64, &Event::WindowRollup(roll));
+            }
+            let report = mon.finish();
+            prop_assert_eq!(report.window_series.len(), 1);
+            let w = &report.window_series[0];
+            prop_assert_eq!(w.count, whole.count());
+            prop_assert_eq!(w.timeouts, whole_timeouts);
+            prop_assert_eq!(w.max_ns, whole.max());
+            prop_assert_eq!(w.p50_ns, whole.percentile(0.50));
+            prop_assert_eq!(w.p95_ns, whole.percentile(0.95));
+            prop_assert_eq!(w.p99_ns, whole.percentile(0.99));
+            prop_assert!(
+                (w.mean_ns - whole.mean()).abs() <= 1e-6 * whole.mean().max(1.0));
+        }
     }
 
     #[test]

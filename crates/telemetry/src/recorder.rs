@@ -3,8 +3,7 @@
 //! A [`Recorder`] is the single object instrumented code holds. It is
 //! either *disabled* (`Recorder::disabled()`) — a `None` inside, so
 //! every emission is one branch and no allocation ever happens — or
-//! backed by shared state holding a [`TelemetrySink`] for the event
-//! stream plus named counters.
+//! backed by a shared [`TelemetrySink`] for the event stream.
 //!
 //! Recorders are deliberately `!Send`: the harness gives every job its
 //! own recorder on the worker thread that runs it and drains the events
@@ -12,7 +11,6 @@
 //! byte-identical across `--threads` values.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::event::Event;
@@ -33,8 +31,7 @@ pub trait TelemetrySink {
 }
 
 /// Discards every event. Used by the overhead bench to measure the
-/// cost of an *enabled* recorder minus any buffering work, and as the
-/// stand-in sink wherever only counters matter.
+/// cost of an *enabled* recorder minus any buffering work.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
 
@@ -98,21 +95,16 @@ impl TelemetrySink for RingSink {
     }
 }
 
-struct Inner {
-    sink: Box<dyn TelemetrySink>,
-    counters: BTreeMap<&'static str, u64>,
-}
-
 /// Cheap, cloneable telemetry handle. See the module docs.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Rc<RefCell<Inner>>>,
+    sink: Option<Rc<RefCell<Box<dyn TelemetrySink>>>>,
 }
 
 impl Recorder {
     /// A recorder that records nothing: every operation is one branch.
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { sink: None }
     }
 
     /// An enabled recorder over a [`RingSink`] of `capacity` events.
@@ -123,68 +115,36 @@ impl Recorder {
     /// An enabled recorder over an arbitrary sink.
     pub fn with_sink(sink: Box<dyn TelemetrySink>) -> Self {
         Self {
-            inner: Some(Rc::new(RefCell::new(Inner {
-                sink,
-                counters: BTreeMap::new(),
-            }))),
+            sink: Some(Rc::new(RefCell::new(sink))),
         }
     }
 
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// Push an event into the sink. `event` is a closure so that
     /// callers pay for constructing the payload only when enabled.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> Event) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().sink.record(event());
-        }
-    }
-
-    /// Add `delta` to the named counter.
-    #[inline]
-    pub fn add(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            *inner.borrow_mut().counters.entry(name).or_insert(0) += delta;
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(event());
         }
     }
 
     /// Take every buffered event, oldest first (empty when disabled).
     pub fn drain_events(&self) -> Vec<Event> {
-        match &self.inner {
-            Some(inner) => inner.borrow_mut().sink.drain(),
+        match &self.sink {
+            Some(sink) => sink.borrow_mut().drain(),
             None => Vec::new(),
-        }
-    }
-
-    /// Snapshot of the counters (name order).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Value of one counter (0 when absent or disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.borrow().counters.get(name).copied().unwrap_or(0),
-            None => 0,
         }
     }
 
     /// Events the sink discarded due to capacity.
     pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.borrow().sink.dropped(),
+        match &self.sink {
+            Some(sink) => sink.borrow().dropped(),
             None => 0,
         }
     }
@@ -217,10 +177,8 @@ mod tests {
         let r = Recorder::disabled();
         assert!(!r.enabled());
         r.emit(|| panic!("payload must not be constructed when disabled"));
-        r.add("x", 1);
         assert!(r.drain_events().is_empty());
-        assert!(r.counters().is_empty());
-        assert_eq!(r.counter("x"), 0);
+        assert_eq!(r.dropped_events(), 0);
     }
 
     #[test]
@@ -242,12 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_counters_gauges_histograms() {
+    fn recorder_clones_share_one_sink() {
         let r = Recorder::ring(16);
         let r2 = r.clone(); // handles share state
-        r.add("steps", 2);
-        r2.add("steps", 3);
-        assert_eq!(r.counter("steps"), 5);
         r.emit(|| ft(1));
         assert_eq!(r2.drain_events().len(), 1);
         assert!(r.drain_events().is_empty());

@@ -170,15 +170,21 @@ fn controller_under_overload_eventually_turbos_every_busy_core() {
         features: Default::default(),
     };
     let mut tc = ThreadController::new(ControllerParams::new(0.0, 1.5));
-    let res = srv.run(
-        &[req],
-        &mut tc,
-        RunOptions {
-            tick_ns: MILLISECOND,
-            trace: deeppower_suite::sim::TraceConfig::millisecond(),
-            ..Default::default()
-        },
+    let rec = deeppower_telemetry::Recorder::ring(1 << 12);
+    let opts = RunOptions {
+        tick_ns: MILLISECOND,
+        trace: deeppower_suite::sim::TraceConfig::freq_and_request_events(),
+        ..Default::default()
+    };
+    let res = srv.session(&[req], &mut tc, opts, &rec).finish();
+    assert_eq!(rec.dropped_events(), 0);
+    let series = deeppower_telemetry::freq_series(
+        &rec.drain_events(),
+        0,
+        srv.config().initial_mhz,
+        res.duration_ns,
+        MILLISECOND,
     );
-    let max_f = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+    let max_f = series.iter().map(|&(_, f)| f).max().unwrap();
     assert_eq!(max_f, FreqPlan::xeon_gold_5218r().turbo_mhz);
 }
